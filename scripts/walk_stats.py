@@ -1,9 +1,9 @@
 """Empirical calibration of the block random walk against its transition matrices.
 
-Simulates the (w, r) chain, tallies transition frequencies per visited state,
-and compares them with the entries of [A_w | B_w | C_w]. Cells whose expected
-count clears --min-expected are scored as binomial z-values; cells with zero
-probability are asserted to never fire.
+Simulates the (w, r) chain and scores it with recurrence.transition_tally, the
+calibration the acceptance suite asserts: cells whose expected count clears
+--min-expected are scored as binomial z-values; cells with zero probability
+must never fire.
 
 Usage:
     python3 scripts/walk_stats.py --steps 100000 --seed 42
@@ -11,12 +11,10 @@ Usage:
 """
 
 import argparse
-import math
 import sys
-from collections import Counter
 
 from mvop.params import Params
-from mvop.recurrence import blocks, walk
+from mvop.recurrence import transition_tally, walk
 
 
 def main(argv=None) -> int:
@@ -33,48 +31,23 @@ def main(argv=None) -> int:
 
     params = Params.integer(args.n, args.k, args.ell, args.m)
     traj = walk(params, args.steps, args.seed)
-    visits = Counter(traj[:-1])
-    moves = Counter(zip(traj, traj[1:]))
-
-    blocks_cache = {}
-    worst_z = 0.0
-    worst_cell = None
-    checked = zero_ok = 0
-    for (w0, r0), n_visits in visits.items():
-        if w0 not in blocks_cache:
-            blocks_cache[w0] = blocks(params, w0)
-        bl = blocks_cache[w0]
-        for dw, M in ((-1, bl.A), (0, bl.B), (1, bl.C)):
-            for r1 in range(params.ell + 1):
-                prob = M[r0, r1]
-                obs = moves.get(((w0, r0), (w0 + dw, r1)), 0)
-                if prob == 0.0:
-                    if obs:
-                        print(f"impossible transition fired: ({w0},{r0}) -> "
-                              f"({w0 + dw},{r1}) observed {obs} times")
-                        return 1
-                    zero_ok += 1
-                    continue
-                expected = prob * n_visits
-                if expected < args.min_expected:
-                    continue
-                z = abs(obs - expected) / math.sqrt(prob * (1.0 - prob) * n_visits)
-                checked += 1
-                if z > worst_z:
-                    worst_z = z
-                    worst_cell = ((w0, r0), (w0 + dw, r1), obs, expected)
+    tally = transition_tally(params, traj, args.min_expected)
+    for src, dst, obs in tally.impossible:
+        print(f"impossible transition fired: {src} -> {dst} observed {obs} times")
+    if tally.impossible:
+        return 1
 
     wmax = max(w for w, _ in traj)
     print(f"params: n={args.n} k={args.k} ell={args.ell} m={args.m}")
-    print(f"steps={args.steps} seed={args.seed}: visited {len(visits)} states, "
+    print(f"steps={args.steps} seed={args.seed}: visited {len(set(traj[:-1]))} states, "
           f"max w reached {wmax}")
-    print(f"zero-probability cells respected: {zero_ok}")
-    print(f"cells with expected count >= {args.min_expected:g}: {checked}")
-    if worst_cell:
-        (src, dst, obs, expected) = worst_cell
-        print(f"worst |z| = {worst_z:.3f} at {src} -> {dst} "
+    print(f"zero-probability cells respected: {tally.zero_cells}")
+    print(f"cells with expected count >= {args.min_expected:g}: {tally.cells}")
+    if tally.worst:
+        (src, dst, obs, expected) = tally.worst
+        print(f"worst |z| = {tally.worst_z:.3f} at {src} -> {dst} "
               f"(observed {obs}, expected {expected:.1f})")
-    return 0 if worst_z <= 3.0 else 1
+    return 0 if tally.worst_z <= 3.0 else 1
 
 
 if __name__ == "__main__":

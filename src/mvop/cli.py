@@ -103,10 +103,6 @@ def _build_params(args, allow_missing: bool = False):
     return p
 
 
-def _fmt_or_default(args, default: str) -> str:
-    return args.fmt or default
-
-
 def cmd_eigen(args):
     params = _build_params(args)
     if args.w is None or args.r is None:
@@ -136,7 +132,7 @@ def cmd_gram(args):
     params = _build_params(args)
     gres = gram(WeightSpec(params), args.wmax)
     names = [f"w{w}r{r}" for (w, r) in gres.labels]
-    if _fmt_or_default(args, "csv") == "json":
+    if (args.fmt or "csv") == "json":
         payload = {
             "params": params.describe(),
             "labels": [list(lab) for lab in gres.labels],
@@ -170,16 +166,12 @@ def cmd_walk(args):
     params = _build_params(args)
     start = (args.w or 0, args.r or 0)
     path = walk(params, args.steps, args.seed, start)
-    if _fmt_or_default(args, "csv") == "json":
+    if (args.fmt or "csv") == "json":
         payload = {"params": params.describe(), "steps": args.steps,
                    "seed": args.seed, "trajectory": [list(state) for state in path]}
         return dumps17(payload), 0
     lines = ["step,w,r"] + [f"{i},{w},{r}" for i, (w, r) in enumerate(path)]
     return "\n".join(lines) + "\n", 0
-
-
-def _describe_line(params_echo: dict) -> str:
-    return " ".join(f"{key}={val}" for key, val in params_echo.items())
 
 
 def cmd_verify(args):
@@ -189,25 +181,27 @@ def cmd_verify(args):
     else:
         reports = [run_suite(params, args.suite, args.wmax)]
     rc = 0 if all(rep.ok for rep in reports) else 3
-    if _fmt_or_default(args, "text") == "json":
+    if (args.fmt or "text") == "json":
         payload = [{"params": rep.params,
                     "checks": [{"name": c.name, "status": c.status,
-                                "max_residual": c.max_residual,
+                                "max_residual": None if c.error else c.max_residual,
                                 "tolerance": c.tolerance,
-                                "wall_time": c.wall_time} for c in rep.checks]}
+                                "wall_time": c.wall_time,
+                                "error": c.error} for c in rep.checks]}
                    for rep in reports]
         return dumps17(payload), rc
     lines = []
     npass = ntot = 0
     for rep in reports:
-        where = _describe_line(rep.params)
+        where = " ".join(f"{key}={val}" for key, val in rep.params.items())
         for c in rep.checks:
             ntot += 1
             npass += c.status == "pass"
             tag = "PASS" if c.status == "pass" else "FAIL"
+            error = f" error={c.error}" if c.error else ""
             lines.append(f"[{tag}] {where} :: {c.name} "
                          f"max_resid={c.max_residual:.3g} tol={c.tolerance:.0e} "
-                         f"({c.wall_time:.2f}s)")
+                         f"({c.wall_time:.2f}s){error}")
     lines.append(f"summary: {npass}/{ntot} checks passed "
                  f"on {len(reports)} parameter set(s)")
     return "\n".join(lines) + "\n", rc

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergeom import H1Series, h1_apply
+from .hypergeom import h1_apply, h1_coeffs
 from .linalg import MatrixPoly, VectorPoly
 from .params import ParamError, Params, SpectralPair, in_S, lambda_eig, mu_eig
 from .spectral import eigvec
@@ -65,9 +65,9 @@ def f_wr(params: Params, w: int, r: int, structure: StructureSet | None = None) 
     mu = mu_eig(params, w, r)
     v0 = eigvec(st, lam, r)
     dim = st.dim
-    series = H1Series.build(st.U - st.C, st.U, st.V + float(lam) * np.eye(dim),
-                            w + _TERMINATION_MARGIN)
-    poly = h1_apply(series, v0, must_terminate=True)
+    coeffs = h1_coeffs(st.U - st.C, st.U, st.V + float(lam) * np.eye(dim),
+                       w + _TERMINATION_MARGIN)
+    poly = h1_apply(coeffs, v0, must_terminate=True)
     if poly.degree != w:
         raise RuntimeError(f"series terminated at degree {poly.degree}, expected w={w}")
     lead = poly.coeffs[-1]

@@ -1,62 +1,35 @@
 """Matrix hypergeometric series.
 
-Two coefficient recursions: the Gauss-type series with numerator matrices A, B,
-and the second-order-native series whose step matrix is m^2 + m(U-1) + V. Both
-divide by (C+m) each step, so the spectrum of C must stay away from the
+The second-order-native series whose step matrix is m^2 + m(U-1) + V. Each
+step divides by (C+m), so the spectrum of C must stay away from the
 nonpositive integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import TRIM_REL_TOL, VectorPoly
 
-__all__ = ["H1Series", "f1_coeffs", "h1_coeffs", "h1_apply", "SeriesTerminationError"]
+__all__ = ["h1_coeffs", "h1_apply", "SeriesTerminationError"]
 
 
 class SeriesTerminationError(RuntimeError):
     """The series did not terminate within the allotted number of terms."""
 
 
-def _spectrum_gap_to_nonpositive_integers(C: np.ndarray) -> float:
+def _check_c_spectrum(C: np.ndarray, tol: float = 1e-8) -> None:
+    """Raise when an eigenvalue of C lies within tol of a nonpositive integer."""
     gap = np.inf
     for z in np.linalg.eigvals(C):
         j0 = max(0, int(round(-z.real)))
         for j in (j0 - 1, j0, j0 + 1):
             if j >= 0:
                 gap = min(gap, abs(z + j))
-    return float(gap)
-
-
-def _check_c_spectrum(C: np.ndarray, tol: float = 1e-8) -> None:
-    gap = _spectrum_gap_to_nonpositive_integers(C)
     if gap <= tol:
         raise ValueError(
             f"C-spectrum hits -N0: distance {gap:.3e} <= {tol:g}, series coefficients undefined"
         )
-
-
-def f1_coeffs(C, A, B, N: int) -> np.ndarray:
-    """Terms (C;A;B)_m / m! of the Gauss-type matrix series, m = 0..N.
-
-    Step: (C;A;B)_{m+1} = (C+m)^{-1} (A+m)(B+m) (C;A;B)_m.
-    """
-    C = np.asarray(C, dtype=float)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    _check_c_spectrum(C)
-    dim = C.shape[0]
-    eye = np.eye(dim)
-    terms = np.empty((N + 1, dim, dim))
-    terms[0] = eye
-    T = eye
-    for m in range(N):
-        T = np.linalg.solve(C + m * eye, (A + m * eye) @ (B + m * eye) @ T) / (m + 1)
-        terms[m + 1] = T
-    return terms
 
 
 def h1_coeffs(C, U, V, N: int) -> np.ndarray:
@@ -80,29 +53,13 @@ def h1_coeffs(C, U, V, N: int) -> np.ndarray:
     return terms
 
 
-@dataclass(frozen=True)
-class H1Series:
-    """Second-order-native series data: parameters and terms coeffs[m] = [C;U;V]_m/m!."""
-
-    Cmat: np.ndarray
-    Umat: np.ndarray
-    Vmat: np.ndarray
-    coeffs: np.ndarray
-
-    @classmethod
-    def build(cls, C, U, V, N: int) -> "H1Series":
-        return cls(np.asarray(C, dtype=float), np.asarray(U, dtype=float),
-                   np.asarray(V, dtype=float), h1_coeffs(C, U, V, N))
-
-
-def h1_apply(series: H1Series, v0, N: int | None = None, must_terminate: bool = False) -> VectorPoly:
-    """Polynomial sum_{m<=N} u^m (coeffs[m] v0), trimmed.
+def h1_apply(coeffs: np.ndarray, v0, N: int | None = None, must_terminate: bool = False) -> VectorPoly:
+    """Polynomial sum_{m<=N} u^m (coeffs[m] v0), trimmed; coeffs comes from h1_coeffs.
 
     With must_terminate=True the last two retained coefficient vectors must fall
     below the trimming tolerance (the series has visibly stopped); otherwise a
     SeriesTerminationError is raised.
     """
-    coeffs = series.coeffs if isinstance(series, np.ndarray) else series.coeffs
     if N is not None:
         coeffs = coeffs[: N + 1]
     v0 = np.asarray(v0, dtype=float)

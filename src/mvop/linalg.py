@@ -1,4 +1,4 @@
-"""Small dense matrix helpers and polynomial containers.
+"""Polynomial containers with small dense matrix or vector coefficients.
 
 Matrices here are (ell+1) x (ell+1) with ell rarely above 2 and never above ~16,
 so everything is plain dense numpy. Polynomials store their coefficients as a
@@ -13,9 +13,6 @@ import numpy as np
 
 __all__ = [
     "TRIM_REL_TOL",
-    "SingularMatrixError",
-    "mat_inverse",
-    "mat_eigenvalues",
     "VectorPoly",
     "MatrixPoly",
 ]
@@ -23,30 +20,6 @@ __all__ = [
 # Trailing polynomial coefficients below this fraction of the largest coefficient
 # magnitude are treated as zero (degree trimming and series-termination detection).
 TRIM_REL_TOL = 1e-10
-
-
-class SingularMatrixError(np.linalg.LinAlgError):
-    pass
-
-
-def mat_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a small dense matrix, rejecting near-singular input.
-
-    Raises SingularMatrixError (with the condition estimate in the message) when
-    the reciprocal condition number falls below 1e-12.
-    """
-    a = np.asarray(a, dtype=float)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularMatrixError(
-            f"matrix singular at relative tolerance 1e-12 (condition estimate {cond:.3e})"
-        )
-    return np.linalg.inv(a)
-
-
-def mat_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real square matrix, returned as a complex array."""
-    return np.linalg.eigvals(np.asarray(a, dtype=float))
 
 
 class _PolyBase:
@@ -137,10 +110,6 @@ class VectorPoly(_PolyBase):
     _ndim = 2
 
     @classmethod
-    def zeros(cls, dim: int) -> "VectorPoly":
-        return cls(np.zeros((1, dim)))
-
-    @classmethod
     def constant(cls, vec) -> "VectorPoly":
         return cls(np.asarray(vec, dtype=float)[None, :])
 
@@ -157,10 +126,6 @@ class MatrixPoly(_PolyBase):
     @classmethod
     def zeros(cls, dim: int) -> "MatrixPoly":
         return cls(np.zeros((1, dim, dim)))
-
-    @classmethod
-    def constant(cls, mat) -> "MatrixPoly":
-        return cls(np.asarray(mat, dtype=float)[None, :, :])
 
     def left_mul(self, a: np.ndarray) -> "MatrixPoly":
         """Apply a constant matrix on the left of every coefficient."""

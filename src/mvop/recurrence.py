@@ -3,19 +3,23 @@
 (1-u) P_w = A_w P_{w-1} + B_w P_w + C_w P_{w+1}, with nonnegative entries and
 unit row sums across [A | B | C], so each row is a probability distribution
 over moves in the (w, r) lattice. Entries are products a^2 * b^2 of one-step
-weight-shift factors; a 0/0 product is resolved numerator-first to 0.
+weight-shift factors; a 0/0 product is resolved numerator-first to 0. A walk's
+observed transition counts are scored against those rows as binomial z-values.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import ParamError, Params, in_S, validate
 
-__all__ = ["RecursionBlocks", "a_sq", "b_sq", "blocks", "three_term_residual", "walk"]
+__all__ = ["RecursionBlocks", "TransitionTally", "a_sq", "b_sq", "blocks",
+           "three_term_residual", "transition_tally", "walk"]
 
 _NEG_TOL = 1e-14
 
@@ -28,25 +32,15 @@ class RecursionBlocks:
     C: np.ndarray
 
 
-def _direction(params: Params, i) -> str:
-    """Map a shift index (1, k+1, or n+1; 'n+1' as a string in Jacobi mode) to a tag."""
-    if isinstance(i, str):
-        tag = i.replace(" ", "")
-        if tag == "1":
-            return "e1"
-        if tag == "k+1":
-            return "ek"
-        if tag == "n+1":
-            return "en"
-        raise ParamError(f"shift index must be 1, k+1, or n+1 (got {i!r})")
-    if i == 1:
-        return "e1"
-    if i == params.k + 1:
-        return "ek"
-    n = float(params.n_eff)
-    if abs(float(i) - (n + 1.0)) < 1e-12:
-        return "en"
-    raise ParamError(f"shift index must be 1, k+1, or n+1 (got {i!r})")
+_DIRECTIONS = {"1": "e1", "k+1": "ek", "n+1": "en"}
+
+
+def _direction(i) -> str:
+    """Map a shift index ('1', 'k+1' or 'n+1') to a tag."""
+    tag = _DIRECTIONS.get(i.replace(" ", "")) if isinstance(i, str) else None
+    if tag is None:
+        raise ParamError(f"shift index must be '1', 'k+1' or 'n+1' (got {i!r})")
+    return tag
 
 
 def _ratio(num_factors, den_factors) -> float:
@@ -67,7 +61,7 @@ def a_sq(params: Params, i, w: int, r: int) -> float:
     k, ell = params.k, params.ell
     m = float(params.m_eff)
     n = float(params.n_eff)
-    d = _direction(params, i)
+    d = _direction(i)
     if d == "e1":
         return _ratio((w + k, w + ell + n), (w + ell - r + k, 2 * w + m + n + ell + r))
     if d == "ek":
@@ -81,8 +75,8 @@ def b_sq(params: Params, i, j, w: int, r: int) -> float:
     k, ell = params.k, params.ell
     m = float(params.m_eff)
     n = float(params.n_eff)
-    di = _direction(params, i)
-    dj = _direction(params, j)
+    di = _direction(i)
+    dj = _direction(j)
     if di == "e1":
         if dj == "e1":
             return _ratio((w + 1, w + ell + k + 1), (w + ell - r + k + 1, 2 * w + m + n + ell + r + 1))
@@ -201,3 +195,52 @@ def walk(params: Params, steps: int, seed: int, start: tuple = (0, 0)) -> list:
         r = r_new
         path.append((w, r))
     return path
+
+
+@dataclass(frozen=True)
+class TransitionTally:
+    """Binomial calibration of a trajectory against the rows of [A_w | B_w | C_w].
+
+    cells counts the transitions scored (expected count >= min_expected) and
+    zero_cells the zero-probability transitions that never fired; impossible
+    lists (state, next state, observed) for those that did. worst is
+    (state, next state, observed, expected) at the largest |z|, worst_z.
+    """
+
+    cells: int
+    zero_cells: int
+    worst_z: float
+    worst: tuple | None
+    impossible: list
+
+
+def transition_tally(params: Params, path: list, min_expected: float = 10.0) -> TransitionTally:
+    """Score the transitions out of every visited state of path as binomial z-values."""
+    visits = Counter(path[:-1])
+    moves = Counter(zip(path, path[1:]))
+    rows: dict = {}
+    cells = zero_cells = 0
+    worst_z, worst, impossible = 0.0, None, []
+    for (w, r), n_visits in visits.items():
+        if w not in rows:
+            rows[w] = blocks(params, w)
+        blk = rows[w]
+        for dw, M in ((-1, blk.A), (0, blk.B), (1, blk.C)):
+            for r_new in range(params.ell + 1):
+                prob = M[r, r_new]
+                dest = (w + dw, r_new)
+                obs = moves.get(((w, r), dest), 0)
+                if prob == 0.0:
+                    if obs:
+                        impossible.append(((w, r), dest, obs))
+                    else:
+                        zero_cells += 1
+                    continue
+                expected = prob * n_visits
+                if expected < min_expected:
+                    continue
+                z = abs(obs - expected) / math.sqrt(prob * (1.0 - prob) * n_visits)
+                cells += 1
+                if z > worst_z:
+                    worst_z, worst = z, ((w, r), dest, obs, expected)
+    return TransitionTally(cells, zero_cells, worst_z, worst, impossible)

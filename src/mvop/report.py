@@ -7,9 +7,7 @@ suites (eigen, ortho, recursion); "all" runs everything applicable.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,23 +17,28 @@ from .linalg import VectorPoly
 from .operators import apply_D_u, apply_E_u, conjugation_residual
 from .orthogonality import (WeightSpec, gram, max_block_offdiag_ratio,
                             max_offdiag_ratio, weight_W_at)
-from .params import Params, in_S, lambda_eig, mu_eig, mu_of_lambda, spectrum_injectivity_check
+from .params import (ParamError, Params, in_S, lambda_eig, mu_eig, mu_of_lambda,
+                     spectrum_injectivity_check)
 from .recurrence import blocks, three_term_residual, walk
 from .spectral import build_M, charpoly_residual, m_superdiagonal
 from .structure import build_structure, psi_at
 
-__all__ = ["CheckResult", "RunReport", "run_suite", "run_grid", "default_grid", "thread_count"]
+__all__ = ["CheckResult", "RunReport", "run_suite", "run_grid", "default_grid"]
 
 SUITES = ("eigen", "ortho", "recursion", "all")
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome. error is "<ExceptionType>: <message>" when the check
+    raised (max_residual is then inf), None when it returned a residual."""
+
     name: str
     status: str
     max_residual: float
     tolerance: float
     wall_time: float
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,9 @@ def _check(name, tol, fn) -> CheckResult:
     t0 = time.perf_counter()
     try:
         resid = float(fn())
-    except Exception:
-        return CheckResult(name, "fail", float("inf"), tol, time.perf_counter() - t0)
+    except Exception as exc:
+        return CheckResult(name, "fail", float("inf"), tol, time.perf_counter() - t0,
+                           f"{type(exc).__name__}: {exc}")
     status = "pass" if resid <= tol else "fail"
     return CheckResult(name, status, resid, tol, time.perf_counter() - t0)
 
@@ -212,6 +216,9 @@ def _recursion_checks(params: Params, wmax: int) -> list:
 def run_suite(params: Params, suite: str = "all", wmax: int = 4) -> RunReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    # The weight and the blocks at w = 0 need every label (0, r) in S.
+    if suite != "eigen" and params.m_eff < 0:
+        raise ParamError(f"suite {suite!r} needs m >= 0 (alpha >= 0 in Jacobi mode)")
     checks = []
     if suite in ("eigen", "all"):
         checks += _eigen_checks(params, wmax)
@@ -232,22 +239,9 @@ def default_grid() -> list:
     return grid
 
 
-def thread_count() -> int:
-    raw = os.environ.get("MVOP_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return cap
-
-
 def run_grid(param_list=None, suite: str = "all", wmax: int = 4) -> list:
-    """Run a suite over many parameter sets in parallel; reports sorted by label."""
+    """Run a suite over many parameter sets; reports sorted by label."""
     if param_list is None:
         param_list = default_grid()
-    workers = min(thread_count(), max(1, len(param_list)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(lambda p: run_suite(p, suite, wmax), param_list))
+    reports = [run_suite(p, suite, wmax) for p in param_list]
     return sorted(reports, key=lambda rep: str(sorted(rep.params.items())))

@@ -16,7 +16,7 @@ from .params import Params, mu_of_lambda
 from .structure import StructureSet
 
 __all__ = ["MLambda", "build_M", "m_superdiagonal", "eigvec", "charpoly_residual",
-           "charpoly_check", "EigenvalueCollisionError"]
+           "EigenvalueCollisionError"]
 
 
 class EigenvalueCollisionError(ValueError):
@@ -103,7 +103,3 @@ def charpoly_residual(st: StructureSet, lam: float) -> float:
     scale = max(1.0, float(np.abs(mus).max()))
     return float(np.abs(eig - mus).max()) / scale
 
-
-def charpoly_check(st: StructureSet, lam: float, tol: float = 1e-7) -> bool:
-    """True iff eig(M(lambda)) matches {mu_r(lambda)} to tol after sorting."""
-    return charpoly_residual(st, lam) <= tol

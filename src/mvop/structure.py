@@ -15,7 +15,7 @@ import numpy as np
 
 from .params import Params, validate
 
-__all__ = ["StructureSet", "build_structure", "pascal", "pascal_inverse", "psi_at"]
+__all__ = ["StructureSet", "build_structure", "pascal", "psi_at"]
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,6 @@ def pascal(ell: int) -> np.ndarray:
         for j in range(i + 1):
             X[i, j] = math.comb(i, j)
     return X
-
-
-def pascal_inverse(ell: int) -> np.ndarray:
-    """Exact inverse of pascal(ell): entries (-1)^(i-j) binom(i, j)."""
-    X = pascal(ell)
-    signs = np.fromfunction(lambda i, j: (-1.0) ** (i - j), X.shape).astype(np.int64)
-    return X * signs
 
 
 def psi_at(params: Params, u: float) -> np.ndarray:

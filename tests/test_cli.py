@@ -1,10 +1,12 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
 from mvop.cli import dumps17, main
+from mvop.report import default_grid
 
 P0_ARGS = ["--n", "2", "--k", "1", "--ell", "1", "--m", "0"]
 
@@ -173,3 +175,60 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lambda"] == 0
+
+
+# Degree-67 labels are past where the float series terminates at its exact degree.
+HIGH_W_ARGS = ["verify", "--n", "2", "--k", "1", "--ell", "0", "--m", "0",
+               "--suite", "recursion", "--wmax", "70"]
+
+
+def test_verify_text_names_the_error_of_a_raising_check(capsys):
+    rc, out, _ = run_cli(HIGH_W_ARGS, capsys)
+    assert rc == 3
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert [line.split(" :: ")[1].split()[0] for line in failed] == [
+        "recursion/three_term", "recursion/t_power"]
+    for line in failed:
+        assert "max_resid=inf" in line
+        assert re.search(r" error=RuntimeError: series terminated at degree \d+, expected w=\d+$", line)
+    assert all("error=" not in line for line in out.splitlines() if line not in failed)
+
+
+def test_verify_json_names_the_error_of_a_raising_check(capsys):
+    rc, out, err = run_cli([*HIGH_W_ARGS, "--format", "json"], capsys)
+    assert rc == 3 and err == ""
+    checks = {c["name"]: c for c in json.loads(out)[0]["checks"]}
+    for name in ("recursion/three_term", "recursion/t_power"):
+        assert checks[name]["status"] == "fail"
+        assert checks[name]["max_residual"] is None
+        assert checks[name]["error"].startswith("RuntimeError: series terminated")
+    assert checks["recursion/row_sums"]["error"] is None
+    assert checks["recursion/row_sums"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("args", [
+    ["--n", "3", "--k", "1", "--ell", "1", "--m", "-1"],
+    ["--jacobi", "--alpha", "-0.5", "--beta", "1.5", "--k", "1", "--ell", "1"],
+])
+def test_verify_negative_m_names_the_precondition(args, capsys):
+    rc, out, err = run_cli(["verify", *args], capsys)
+    assert rc == 2 and out == ""
+    assert err.strip() == "error: suite 'all' needs m >= 0 (alpha >= 0 in Jacobi mode)"
+    rc, out, _ = run_cli(["verify", *args, "--suite", "eigen"], capsys)
+    assert rc == 0
+    assert out.splitlines()[-1] == "summary: 6/6 checks passed on 1 parameter set(s)"
+
+
+def test_verify_default_grid(capsys):
+    rc, out, _ = run_cli(["verify"], capsys)
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[-1] == "summary: 252/252 checks passed on 18 parameter set(s)"
+    sets = []
+    for line in lines[:-1]:
+        echo = dict(kv.split("=") for kv in line.split(" :: ")[0].split()[1:])
+        key = tuple(int(echo[name]) for name in ("ell", "k", "m", "n"))
+        if not sets or sets[-1] != key:
+            sets.append(key)
+    # Reports come sorted by ell, then k, then m, then n.
+    assert sets == sorted((p.ell, p.k, p.m, p.n) for p in default_grid())

@@ -2,23 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvop.linalg import (MatrixPoly, SingularMatrixError, VectorPoly,
-                         mat_eigenvalues, mat_inverse)
-
-
-def test_mat_inverse_frozen():
-    inv = mat_inverse(np.array([[2.0, 0.0], [1.0, 4.0]]))
-    assert np.allclose(inv, [[0.5, 0.0], [-0.125, 0.25]], rtol=0, atol=1e-15)
-
-
-def test_mat_inverse_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        mat_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
-
-
-def test_mat_eigenvalues_diag():
-    eig = np.sort(mat_eigenvalues(np.diag([3.0, -1.0])).real)
-    assert np.allclose(eig, [-1.0, 3.0], rtol=0, atol=1e-14)
+from mvop.linalg import MatrixPoly, VectorPoly
 
 
 def test_vector_poly_evaluate_matches_polyval():

@@ -27,18 +27,11 @@ def test_b_sq_frozen_at_origin():
     assert b_sq(P0, "n+1", "1", 0, 0) == pytest.approx(0.75, rel=1e-15)
 
 
-def test_integer_direction_selectors_match_strings():
-    for w, r in [(0, 0), (2, 1)]:
-        assert a_sq(P0, 1, w, r) == a_sq(P0, "1", w, r)
-        assert a_sq(P0, 2, w, r) == a_sq(P0, "k+1", w, r)
-        assert a_sq(P0, 3, w, r) == a_sq(P0, "n+1", w, r)
-
-
 def test_bad_direction_selector_raises():
     with pytest.raises(ParamError):
         a_sq(P0, "2", 0, 0)
     with pytest.raises(ParamError):
-        a_sq(P0, 5, 0, 0)
+        a_sq(P0, 1, 0, 0)
 
 
 def test_A0_vanishes_for_every_m():

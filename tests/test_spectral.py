@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mvop.params import Params, lambda_eig, mu_of_lambda
-from mvop.spectral import (EigenvalueCollisionError, build_M, charpoly_check,
-                           charpoly_residual, eigvec, m_superdiagonal)
+from mvop.spectral import (EigenvalueCollisionError, build_M, charpoly_residual,
+                           eigvec, m_superdiagonal)
 from mvop.structure import build_structure
 
 P0 = Params.integer(n=2, k=1, ell=1, m=0)
@@ -68,7 +68,6 @@ def test_charpoly_residual_small_on_spectrum():
             for r in range(p.ell + 1):
                 lam = lambda_eig(p, w, r)
                 assert charpoly_residual(st, lam) <= 1e-7
-                assert charpoly_check(st, lam)
 
 
 def test_build_M_scalar_case():

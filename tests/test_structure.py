@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mvop.params import Params
-from mvop.structure import build_structure, pascal, pascal_inverse, psi_at
+from mvop.structure import build_structure, pascal, psi_at
 
 P0 = Params.integer(n=2, k=1, ell=1, m=0)
 
@@ -10,13 +10,6 @@ P0 = Params.integer(n=2, k=1, ell=1, m=0)
 def test_pascal_frozen():
     assert np.array_equal(pascal(2), [[1, 0, 0], [1, 1, 0], [1, 2, 1]])
     assert pascal(0).shape == (1, 1)
-
-
-def test_pascal_inverse_exact():
-    for ell in range(6):
-        X = pascal(ell)
-        Xi = pascal_inverse(ell)
-        assert np.array_equal(X @ Xi, np.eye(ell + 1, dtype=np.int64))
 
 
 def test_psi_at_collapses_at_zero():
