@@ -2,11 +2,12 @@
 
 The diagonal weight V(u) and the full weight W(u) = Psi*(u) V(u) Psi(u) both
 carry the scalar prefactor 2n, so the defining identity holds entry by entry.
-Integer mode integrates with a single Gauss-Legendre rule (every integrand is a
-polynomial whose degree is bookkept). In Jacobi mode the weight exponents are
-real, so the inner product is factored through V and each diagonal term gets a
-Gauss-Jacobi rule that absorbs u^beta (1-u)^(alpha+ell-r) exactly.
-"""
+Every inner product is taken in the frame where the weight is diagonal:
+<p, q>_W = sum_r integral of (Psi p)_r (Psi q)_r V_rr, one quadrature rule per
+r, in both modes. Integer mode folds V_rr = 2n c_r u^(n-1) (1-u)^(m+ell-r)
+into the weights of a Gauss-Legendre rule exact for the polynomial integrand;
+Jacobi mode, whose exponents are real, absorbs u^beta (1-u)^(alpha+ell-r) into
+a Gauss-Jacobi rule. weight_W_at builds W itself, for the consistency check."""
 
 from __future__ import annotations
 
@@ -115,86 +116,79 @@ def _gl_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-@lru_cache(maxsize=None)
+# Keys carry real exponents (a new pair per Jacobi parameter set), so the cache is bounded.
+@lru_cache(maxsize=256)
 def _gj_rule(npts: int, a_exp: float, b_exp: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights on [0,1] with the weight u^b_exp (1-u)^a_exp folded in."""
     x, w = roots_jacobi(npts, a_exp, b_exp)
     return (x + 1.0) / 2.0, w * 0.5 ** (a_exp + b_exp + 1.0)
 
 
-def _weight_poly_degree(params: Params) -> int:
-    # Largest power of u in any W entry: (m+ell-r) + i + j + (n-1) <= m + 3 ell + n - 1.
-    return int(params.m + 3 * params.ell + params.n - 1)
+def _frame_rule(params: Params, r: int, degree: int, oversample: int):
+    """Quadrature for the r-th diagonal term of V, for vector polynomials of degree <= degree.
+
+    Returns the nodes u, the weights with V_rr(u) = 2n c_r u^(n-1) (1-u)^(m+ell-r)
+    folded in, and row r of Psi at the nodes, shape (len(u), ell+1). The rule
+    integrates (Psi p)_r (Psi q)_r V_rr exactly; apart from V_rr that product
+    has degree 2 (degree + r).
+    """
+    ell = params.ell
+    n = float(params.n_eff)
+    a_exp = float(params.m_eff) + ell - r
+    poly_deg = 2 * (degree + r)
+    if params.is_jacobi:
+        u, wq = _gj_rule(oversample * (poly_deg // 2 + 1), a_exp, n - 1.0)
+    else:
+        deg = poly_deg + params.n - 1 + params.m + ell - r
+        u, wq = _gl_rule(oversample * (deg // 2 + 1))
+        wq = wq * u ** (n - 1.0) * (1.0 - u) ** a_exp
+    wq = 2.0 * n * _weight_coeffs(params)[r] * wq
+    psi = pascal(ell)[r] * u[:, None] ** np.arange(ell + 1)
+    return u, wq, psi
+
+
+def _stack(parts) -> np.ndarray:
+    """Concatenate coefficient stacks (count, degree+1, dim), zero-padding the degree axis."""
+    out = np.zeros((sum(len(c) for c in parts), max(c.shape[1] for c in parts), parts[0].shape[2]))
+    i = 0
+    for c in parts:
+        out[i:i + len(c), :c.shape[1]] = c
+        i += len(c)
+    return out
+
+
+def _frame_grams(params: Params, stacks: list, oversample: int) -> list:
+    """<p_i, p_j>_W for every pair within each stack of vector polynomials.
+
+    A stack is an array (count, degree+1, ell+1) of coefficients. All stacks
+    share the nodes and the Vandermonde matrix of each r. The results are
+    exactly symmetric.
+    """
+    degree = max(c.shape[1] for c in stacks) - 1
+    out = [np.zeros((len(c), len(c))) for c in stacks]
+    for r in range(params.ell + 1):
+        u, wq, psi = _frame_rule(params, r, degree, oversample)
+        vander = u[:, None] ** np.arange(degree + 1)
+        for acc, c in zip(out, stacks):
+            values = np.tensordot(vander[:, :c.shape[1]], c, (1, 1))
+            pr = np.einsum("qid,qd->iq", values, psi)
+            acc += (pr * wq) @ pr.T
+    return [(g + g.T) / 2.0 for g in out]
 
 
 def inner_vec(wspec: WeightSpec, F1: VectorPoly, F2: VectorPoly, oversample: int = 1) -> float:
     """<F1, F2>_W = integral of F2(u)^t W(u) F1(u) over [0,1], exact quadrature."""
-    params = wspec.params
-    _require_weight(params)
-    if params.is_jacobi:
-        return _inner_vec_jacobi(params, F1, F2, oversample)
-    deg = F1.degree + F2.degree + _weight_poly_degree(params)
-    u, wq = _gl_rule(oversample * (deg // 2 + 1))
-    total = 0.0
-    for q in range(len(u)):
-        W = weight_W_at(params, u[q])
-        total += wq[q] * float(F2.evaluate_at(u[q]) @ W @ F1.evaluate_at(u[q]))
-    return total
-
-
-def _psi_row(params: Params, r: int, u: float) -> np.ndarray:
-    return pascal(params.ell)[r].astype(float) * u ** np.arange(params.ell + 1, dtype=float)
-
-
-def _inner_vec_jacobi(params: Params, F1: VectorPoly, F2: VectorPoly, oversample: int) -> float:
-    alpha = float(params.m_eff)
-    n = float(params.n_eff)
-    ell = params.ell
-    c = _weight_coeffs(params)
-    pd = F1.degree + F2.degree + 2 * ell
-    npts = oversample * (pd // 2 + 1)
-    total = 0.0
-    for r in range(ell + 1):
-        u, wq = _gj_rule(npts, alpha + ell - r, n - 1.0)
-        acc = 0.0
-        for q in range(len(u)):
-            row = _psi_row(params, r, u[q])
-            acc += wq[q] * float(row @ F1.evaluate_at(u[q])) * float(row @ F2.evaluate_at(u[q]))
-        total += 2.0 * n * c[r] * acc
-    return total
+    _require_weight(wspec.params)
+    stack = _stack([F1.coeffs[None], F2.coeffs[None]])
+    return float(_frame_grams(wspec.params, [stack], oversample)[0][0, 1])
 
 
 def inner_mat(wspec: WeightSpec, P1: MatrixPoly, P2: MatrixPoly, oversample: int = 1) -> np.ndarray:
     """Matrix-level integral of P1(u) W(u) P2(u)^t over [0,1]."""
-    params = wspec.params
-    _require_weight(params)
-    if params.is_jacobi:
-        return _inner_mat_jacobi(params, P1, P2, oversample)
-    deg = P1.degree + P2.degree + _weight_poly_degree(params)
-    u, wq = _gl_rule(oversample * (deg // 2 + 1))
-    out = np.zeros((P1.dim, P1.dim))
-    for q in range(len(u)):
-        W = weight_W_at(params, u[q])
-        out += wq[q] * (P1.evaluate_at(u[q]) @ W @ P2.evaluate_at(u[q]).T)
-    return out
-
-
-def _inner_mat_jacobi(params: Params, P1: MatrixPoly, P2: MatrixPoly, oversample: int) -> np.ndarray:
-    alpha = float(params.m_eff)
-    n = float(params.n_eff)
-    ell = params.ell
-    c = _weight_coeffs(params)
-    pd = P1.degree + P2.degree + 2 * ell
-    npts = oversample * (pd // 2 + 1)
-    out = np.zeros((P1.dim, P1.dim))
-    for r in range(ell + 1):
-        u, wq = _gj_rule(npts, alpha + ell - r, n - 1.0)
-        acc = np.zeros_like(out)
-        for q in range(len(u)):
-            row = _psi_row(params, r, u[q])
-            acc += wq[q] * np.outer(P1.evaluate_at(u[q]) @ row, P2.evaluate_at(u[q]) @ row)
-        out += 2.0 * n * c[r] * acc
-    return out
+    _require_weight(wspec.params)
+    dim = P1.dim
+    stack = _stack([P1.coeffs.transpose(1, 0, 2), P2.coeffs.transpose(1, 0, 2)])
+    return _frame_grams(wspec.params, [stack], oversample)[0][:dim, dim:]
 
 
 @dataclass(frozen=True)
@@ -205,37 +199,31 @@ class GramResult:
 
 
 def gram(wspec: WeightSpec, wmax: int, oversample: int = 1) -> GramResult:
-    """Vector-level Gram matrix over all labels (w <= wmax) plus matrix-level blocks."""
+    """Vector-level Gram matrix over all labels (w <= wmax) plus matrix-level blocks.
+
+    The labels and the packages P_w are integrated separately, so the blocks
+    also check how assemble_P stacks the rows.
+    """
     params = wspec.params
     _require_weight(params)
     st = build_structure(params)
-    labels = [(w, r) for w in range(wmax + 1) for r in range(params.ell + 1)
-              if in_S(params, w, r)]
-    polys = {lab: f_wr(params, lab[0], lab[1], st).poly for lab in labels}
-    nlab = len(labels)
-    matrix = np.zeros((nlab, nlab))
-    for i in range(nlab):
-        for j in range(i, nlab):
-            val = inner_vec(wspec, polys[labels[i]], polys[labels[j]], oversample)
-            matrix[i, j] = matrix[j, i] = val
-    packs = {w: assemble_P(params, w, st).P for w in range(wmax + 1)}
-    blocks = {}
-    for w in range(wmax + 1):
-        for wp in range(w, wmax + 1):
-            blocks[(w, wp)] = inner_mat(wspec, packs[w], packs[wp], oversample)
+    dim = params.ell + 1
+    labels = [(w, r) for w in range(wmax + 1) for r in range(dim) if in_S(params, w, r)]
+    label_stack = _stack([f_wr(params, w, r, st).poly.coeffs[None] for w, r in labels])
+    pack_stack = _stack([assemble_P(params, w, st).P.coeffs.transpose(1, 0, 2)
+                         for w in range(wmax + 1)])
+    matrix, packed = _frame_grams(params, [label_stack, pack_stack], oversample)
+    blocks = {(w, wp): packed[w * dim:(w + 1) * dim, wp * dim:(wp + 1) * dim]
+              for w in range(wmax + 1) for wp in range(w, wmax + 1)}
     return GramResult(labels=labels, matrix=matrix, blocks=blocks)
 
 
 def max_offdiag_ratio(matrix: np.ndarray) -> float:
     """Largest |off-diagonal| / sqrt(diag_i diag_j) of a Gram matrix."""
     d = np.sqrt(np.diag(matrix))
-    worst = 0.0
-    n = matrix.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                worst = max(worst, abs(matrix[i, j]) / (d[i] * d[j]))
-    return worst
+    ratio = np.abs(matrix) / np.outer(d, d)
+    np.fill_diagonal(ratio, 0.0)
+    return float(ratio.max(initial=0.0))
 
 
 def max_block_offdiag_ratio(result: GramResult) -> float:
@@ -244,16 +232,11 @@ def max_block_offdiag_ratio(result: GramResult) -> float:
     Block (w, w') entry (r, r') is the pairing of labels (w, r) and (w', r');
     every entry with (w, r) != (w', r') must vanish.
     """
-    norms = {}
+    norms = {w: np.sqrt(np.diag(block)) for (w, wp), block in result.blocks.items() if w == wp}
+    worst = []
     for (w, wp), block in result.blocks.items():
+        ratio = np.abs(block) / np.outer(norms[w], norms[wp])
         if w == wp:
-            for r in range(block.shape[0]):
-                norms[(w, r)] = math.sqrt(block[r, r])
-    worst = 0.0
-    for (w, wp), block in result.blocks.items():
-        for r in range(block.shape[0]):
-            for rp in range(block.shape[1]):
-                if (w, r) == (wp, rp):
-                    continue
-                worst = max(worst, abs(block[r, rp]) / (norms[(w, r)] * norms[(wp, rp)]))
-    return worst
+            np.fill_diagonal(ratio, 0.0)
+        worst.append(ratio.max(initial=0.0))
+    return float(np.max(worst, initial=0.0))

@@ -1,16 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvop
 from mvop.family import f_wr
-from mvop.linalg import VectorPoly
-from mvop.orthogonality import (WeightSpec, gen_binom, gram, inner_mat,
-                                inner_vec, max_block_offdiag_ratio,
-                                max_offdiag_ratio, quad_rule, weight_V_at,
-                                weight_W_at)
+from mvop.orthogonality import (GramResult, WeightSpec, _gj_rule, gen_binom,
+                                gram, inner_mat, inner_vec,
+                                max_block_offdiag_ratio, max_offdiag_ratio,
+                                quad_rule, weight_V_at, weight_W_at)
 from mvop.params import ParamError, Params
 from mvop.structure import psi_at
 
@@ -162,3 +166,99 @@ def test_weight_poly_prefactor_scales_inner_products():
         val = f00.evaluate_at(ui)
         direct += wi * val @ weight_W_at(P0, ui) @ val
     assert base == pytest.approx(direct, rel=1e-13)
+
+
+def _w_frame_gram(params, labels, wmax):
+    """Reference Gram matrix: F_j^t W F_i at Gauss-Legendre nodes, W(u) from weight_W_at."""
+    u, wq = quad_rule(2 * wmax + params.m + 3 * params.ell + params.n - 1)
+    polys = [f_wr(params, w, r).poly for w, r in labels]
+    vals = np.array([[F.evaluate_at(x) for x in u] for F in polys])
+    W = np.array([weight_W_at(params, x) for x in u])
+    return np.einsum("q,iqa,qab,jqb->ij", wq, vals, W, vals)
+
+
+def _scaled_gap(a, b, d_rows, d_cols):
+    """Largest |a - b| entry over sqrt(d_i d_j), the scale of the ratio checks."""
+    return float((np.abs(a - b) / np.sqrt(np.outer(d_rows, d_cols))).max())
+
+
+@pytest.mark.parametrize("spec,wmax", [((3, 1, 2, 1), 4), ((2, 1, 1, 0), 6), ((4, 2, 3, 2), 4)],
+                         ids=str)
+def test_gram_matches_w_frame_reference(spec, wmax):
+    p = Params.integer(*spec)
+    res = gram(WeightSpec(p), wmax)
+    ref = _w_frame_gram(p, res.labels, wmax)
+    d = np.diag(ref)
+    assert _scaled_gap(res.matrix, ref, d, d) <= 1e-10
+    index = {lab: i for i, lab in enumerate(res.labels)}
+    for (w, wp), block in res.blocks.items():
+        rows = [index[(w, r)] for r in range(p.ell + 1)]
+        cols = [index[(wp, r)] for r in range(p.ell + 1)]
+        assert _scaled_gap(block, res.matrix[np.ix_(rows, cols)], d[rows], d[cols]) <= 1e-12
+    if spec == (3, 1, 2, 1):
+        twin = gram(WeightSpec(Params.jacobi(float(p.m), float(p.n - 1), p.k, p.ell)), wmax)
+        assert _scaled_gap(twin.matrix, res.matrix, d, d) <= 1e-12
+
+
+def _loop_offdiag_ratio(matrix):
+    """Elementwise form of max_offdiag_ratio, kept as its reference."""
+    d = np.sqrt(np.diag(matrix))
+    worst = 0.0
+    for i in range(matrix.shape[0]):
+        for j in range(matrix.shape[0]):
+            if i != j:
+                worst = max(worst, abs(matrix[i, j]) / (d[i] * d[j]))
+    return worst
+
+
+def _loop_block_ratio(result):
+    """Elementwise form of max_block_offdiag_ratio, kept as its reference."""
+    norms = {(w, r): math.sqrt(block[r, r]) for (w, wp), block in result.blocks.items()
+             if w == wp for r in range(block.shape[0])}
+    worst = 0.0
+    for (w, wp), block in result.blocks.items():
+        for r in range(block.shape[0]):
+            for rp in range(block.shape[1]):
+                if (w, r) != (wp, rp):
+                    worst = max(worst, abs(block[r, rp]) / (norms[(w, r)] * norms[(wp, rp)]))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ratio_helpers_equal_their_loop_form(seed):
+    rng = np.random.default_rng(seed)
+    dim, wmax = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+    a = rng.standard_normal((dim * (wmax + 1),) * 2)
+    matrix = a @ a.T
+    assert max_offdiag_ratio(matrix) == _loop_offdiag_ratio(matrix)
+    blocks = {(w, wp): rng.standard_normal((dim, dim)) * 10.0 ** rng.integers(-12, 1)
+              for w in range(wmax + 1) for wp in range(w, wmax + 1)}
+    for w in range(wmax + 1):
+        np.fill_diagonal(blocks[(w, w)], rng.uniform(0.5, 2.0, dim))
+    res = GramResult(labels=[], matrix=matrix, blocks=blocks)
+    assert max_block_offdiag_ratio(res) == _loop_block_ratio(res)
+
+
+def test_offdiag_ratio_of_a_single_label_is_zero():
+    assert max_offdiag_ratio(np.array([[2.0]])) == 0.0
+    single = GramResult(labels=[(0, 0)], matrix=np.array([[2.0]]), blocks={(0, 0): np.array([[2.0]])})
+    assert max_block_offdiag_ratio(single) == 0.0
+
+
+def test_gauss_jacobi_cache_is_bounded():
+    for i in range(300):
+        _gj_rule(2, 1.0 + i / 300.0, 0.5)
+    assert _gj_rule.cache_info().currsize <= 256
+
+
+def test_integer_gram_leaves_scipy_linalg_unloaded():
+    # Gauss-Jacobi rules import scipy.linalg, about 6 MB of resident memory
+    # that Integer mode, on Gauss-Legendre rules, does not need.
+    src = str(Path(mvop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from mvop import Params, WeightSpec, gram; "
+            "gram(WeightSpec(Params.integer(3, 1, 2, 1)), 4); "
+            "print('scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
