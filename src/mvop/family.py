@@ -82,8 +82,12 @@ def f_wr(params: Params, w: int, r: int, structure: StructureSet | None = None) 
 def assemble_P(params: Params, w: int, structure: StructureSet | None = None) -> PolynomialPackage:
     """Stack the row vectors F_{w,r}^t, r = 0..ell, into one matrix polynomial."""
     st = structure if structure is not None else build_structure(params)
-    dim = st.dim
-    rows = [f_wr(params, w, r, st) for r in range(dim)]
+    return _stack_P(w, [f_wr(params, w, r, st) for r in range(st.dim)])
+
+
+def _stack_P(w: int, rows: list) -> PolynomialPackage:
+    """P_w from its rows F_{w,0}..F_{w,ell}; checks the leading coefficient's shape."""
+    dim = len(rows)
     coeffs = np.zeros((w + 1, dim, dim))
     for r, ef in enumerate(rows):
         coeffs[: ef.poly.degree + 1, r, :] = ef.poly.coeffs
@@ -95,6 +99,39 @@ def assemble_P(params: Params, w: int, structure: StructureSet | None = None) ->
     if (np.abs(np.diag(lead)) <= _LEADING_TOL * scale).any():
         raise RuntimeError(f"leading coefficient of P_{w} is singular on the diagonal")
     return PolynomialPackage(w=w, P=MatrixPoly(coeffs))
+
+
+class _Family:
+    """One parameter set's structure, F_{w,r} and P_w, each built on first use.
+
+    P_w is stacked from the same F_{w,r} the labels return. A build that raises
+    is not kept, so every use of a bad label raises again. The memo lives as
+    long as the object: one gram or run_suite call.
+    """
+
+    def __init__(self, params: Params):
+        self.params = params
+        self._memo: dict = {}
+
+    def _get(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    @property
+    def st(self) -> StructureSet:
+        return self._get("st", lambda: build_structure(self.params))
+
+    def f(self, w: int, r: int) -> EigenFunction:
+        return self._get(("f", w, r), lambda: f_wr(self.params, w, r, self.st))
+
+    def P(self, w: int) -> PolynomialPackage:
+        return self._get(("P", w), lambda: _stack_P(w, [self.f(w, r) for r in range(self.st.dim)]))
+
+    def members(self, wmax: int) -> list:
+        """F_{w,r} for every label (w, r) in S with w <= wmax, by w then r."""
+        return [self.f(w, r) for w in range(wmax + 1) for r in range(self.params.ell + 1)
+                if in_S(self.params, w, r)]
 
 
 def h_from_f(params: Params, F: VectorPoly) -> VectorPoly:

@@ -4,7 +4,8 @@ Both operators exist in two variables related by t = 1-u. The t-forms carry a
 rational 1/(1-t) zero-order term that must cancel on polynomial input; the
 u-forms (conjugated by Psi) are polynomial-coefficient transforms outright.
 Everything here acts exactly on coefficient sequences; sampling only appears in
-the conjugation residual check.
+the conjugation residual check, which takes a stack of polynomials at once (the
+private transforms accept a batch axis between the power and vector axes).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from .linalg import VectorPoly
-from .structure import StructureSet, psi_at
+from .structure import StructureSet
 
 __all__ = [
     "hypergeometric_action",
@@ -31,17 +32,23 @@ def hypergeometric_action(Cm, Um, Vm, F: VectorPoly) -> VectorPoly:
 
     Power p of the result is (p+1)(p I + C)F_{p+1} - (p(p-1) I + p U + V)F_p.
     """
-    Cm = np.asarray(Cm, dtype=float)
-    Um = np.asarray(Um, dtype=float)
-    Vm = np.asarray(Vm, dtype=float)
-    c = F.coeffs
-    d = F.degree
+    Cm, Um, Vm = (np.asarray(a, dtype=float) for a in (Cm, Um, Vm))
+    eye = np.eye(len(Cm))
+    return VectorPoly(_second_order(F.coeffs, eye, eye, Cm, Um, Vm)).trim()
+
+
+def _second_order(c: np.ndarray, S0, S1, F0, F1, Z) -> np.ndarray:
+    """Coefficients of x(S0 - xS1)F'' + (F0 - xF1)F' - ZF; c[p] is one row or a stack of rows.
+
+    Power p is (p+1)(p S0 + F0)F_{p+1} - (p(p-1) S1 + p F1 + Z)F_p.
+    """
+    d = len(c) - 1
     out = np.zeros_like(c)
     for p in range(d + 1):
-        out[p] = -(p * (p - 1) * c[p] + p * (c[p] @ Um.T) + c[p] @ Vm.T)
+        out[p] = -(p * (p - 1) * (c[p] @ S1.T) + p * (c[p] @ F1.T) + c[p] @ Z.T)
         if p + 1 <= d:
-            out[p] += (p + 1) * (p * c[p + 1] + c[p + 1] @ Cm.T)
-    return VectorPoly(out).trim()
+            out[p] += (p + 1) * (p * (c[p + 1] @ S0.T) + c[p + 1] @ F0.T)
+    return out
 
 
 def apply_D_u(st: StructureSet, F: VectorPoly) -> VectorPoly:
@@ -66,16 +73,15 @@ def apply_E_u(st: StructureSet, F: VectorPoly) -> VectorPoly:
 
 
 def _div_by_one_minus_t(coeffs: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
-    """Quotient of sum_j g_j t^j by (1-t); the remainder is g(1) and must vanish."""
+    """Quotient of sum_j g_j t^j by (1-t), for len(coeffs) >= 2; the remainder is g(1)
+    and must vanish. coeffs[j] is one row or a stack of rows, each checked."""
     q = np.cumsum(coeffs, axis=0)
-    rem = float(np.abs(q[-1]).max())
-    scale = max(float(np.abs(coeffs).max()), 1.0)
-    if rem > rel_tol * scale:
-        raise ValueError(
-            f"not divisible by (1-t): remainder {rem:.3e} exceeds {rel_tol:g} x scale {scale:.3e}"
-        )
-    if len(coeffs) == 1:
-        return np.zeros_like(coeffs)
+    rem = np.abs(q[-1]).max(axis=-1)
+    scale = np.maximum(np.abs(coeffs).max(axis=(0, -1)), 1.0)
+    if (rem > rel_tol * scale).any():
+        i = np.unravel_index(np.argmax(rem / scale), rem.shape)
+        raise ValueError(f"not divisible by (1-t): remainder {rem[i]:.3e} exceeds "
+                         f"{rel_tol:g} x scale {scale[i]:.3e}")
     return q[:-1]
 
 
@@ -85,66 +91,53 @@ def apply_D_t(st: StructureSet, H: VectorPoly) -> VectorPoly:
     Raises when the zero-order term fails to cancel against (1-t), which signals
     input outside the operator's natural domain image.
     """
-    n = float(st.params.n_eff)
-    A0 = st.A0
-    c = H.coeffs
-    d = H.degree
-    dim = H.dim
-    g = np.zeros((d + 2, dim))
-    g[: d + 1] += c @ st.B0.T
-    g[1:] += c @ st.B1.T
-    q = _div_by_one_minus_t(g)
-    out = np.zeros((d + 1, dim))
-    out[: len(q)] += q
-    for p in range(d + 1):
-        out[p] -= p * (p - 1) * c[p] + p * (c[p] @ A0.T + n * c[p])
-        if p + 1 <= d:
-            out[p] += (p + 1) * p * c[p + 1] + (p + 1) * (c[p + 1] @ A0.T)
-    return VectorPoly(-out).trim()
+    return VectorPoly(_t_form(st, "D", H.coeffs)).trim()
 
 
 def apply_E_t(st: StructureSet, H: VectorPoly) -> VectorPoly:
     """Second operator in t: -(t(1-t)M H'' + (C0 - tC1)H' + (1-t)^{-1}(D0+tD1)H)."""
-    Md, C0, C1 = st.Mdiag, st.C0, st.C1
-    c = H.coeffs
-    d = H.degree
-    dim = H.dim
-    g = np.zeros((d + 2, dim))
-    g[: d + 1] += c @ st.D0.T
-    g[1:] += c @ st.D1.T
-    q = _div_by_one_minus_t(g)
-    out = np.zeros((d + 1, dim))
-    out[: len(q)] += q
-    for p in range(d + 1):
-        out[p] -= p * (p - 1) * (c[p] @ Md.T) + p * (c[p] @ C1.T)
-        if p + 1 <= d:
-            out[p] += (p + 1) * p * (c[p + 1] @ Md.T) + (p + 1) * (c[p + 1] @ C0.T)
-    return VectorPoly(-out).trim()
+    return VectorPoly(_t_form(st, "E", H.coeffs)).trim()
 
 
-def _e_tilde_t(st: StructureSet, F: VectorPoly) -> VectorPoly:
-    """Conjugated second operator in t: t(M0-tM1)F'' + (P0-tP1)F' - (m-k)VF."""
+def _t_form(st: StructureSet, which: str, c: np.ndarray) -> np.ndarray:
+    """-(t(1-t)S H'' + (F0 - tF1)H' + (1-t)^{-1}(Z0+tZ1)H), first (D) or second (E) operator."""
+    if which == "D":
+        eye = np.eye(st.dim)
+        S, F0, F1, Z0, Z1 = eye, st.A0, st.A0 + float(st.params.n_eff) * eye, st.B0, st.B1
+    else:
+        S, F0, F1, Z0, Z1 = st.Mdiag, st.C0, st.C1, st.D0, st.D1
+    g = np.zeros((len(c) + 1,) + c.shape[1:])
+    g[:-1] += c @ Z0.T
+    g[1:] += c @ Z1.T
+    out = _div_by_one_minus_t(g)
+    for p in range(len(c)):
+        out[p] -= p * (p - 1) * (c[p] @ S.T) + p * (c[p] @ F1.T)
+        if p + 1 < len(c):
+            out[p] += (p + 1) * p * (c[p + 1] @ S.T) + (p + 1) * (c[p + 1] @ F0.T)
+    return -out
+
+
+def _tilde_t(st: StructureSet, which: str, c: np.ndarray) -> np.ndarray:
+    """Conjugated operator in t: t(1-t)F'' + (C-tU)F' - VF for D, t(M0-tM1)F'' + (P0-tP1)F'
+    - (m-k)VF for E."""
+    if which == "D":
+        eye = np.eye(st.dim)
+        return _second_order(c, eye, eye, st.C, st.U, st.V)
     mk = float(st.params.m_eff) - st.params.k
-    M0, M1, P0, P1, V = st.M0, st.M1, st.P0, st.P1, st.V
-    c = F.coeffs
-    d = F.degree
-    out = np.zeros_like(c)
-    for p in range(d + 1):
-        out[p] = -(p * (p - 1) * (c[p] @ M1.T) + p * (c[p] @ P1.T) + mk * (c[p] @ V.T))
-        if p + 1 <= d:
-            out[p] += (p + 1) * (p * (c[p + 1] @ M0.T) + c[p + 1] @ P0.T)
-    return VectorPoly(out).trim()
+    return _second_order(c, st.M0, st.M1, st.P0, st.P1, mk * st.V)
 
 
-def _psi_times_t(X: np.ndarray, F: VectorPoly) -> VectorPoly:
-    """H = X diag((1-t)^s) F as an exact polynomial in t."""
-    d, dim = F.degree, F.dim
-    tf = np.zeros((d + dim, dim))
+def _psi_times_t(X: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """H = X diag((1-t)^s) F as exact coefficients in t.
+
+    The binomial terms are summed highest power first, the order np.convolve uses.
+    """
+    d, dim = len(c) - 1, c.shape[-1]
+    tf = np.zeros((d + dim,) + c.shape[1:])
     for s in range(dim):
-        binomial = np.array([math.comb(s, i) * (-1.0) ** i for i in range(s + 1)])
-        conv = np.convolve(F.coeffs[:, s], binomial)
-        tf[: len(conv), s] = conv
-    return VectorPoly(tf @ X.T)
+        for i in range(s, -1, -1):
+            tf[i: i + d + 1, ..., s] += math.comb(s, i) * (-1.0) ** i * c[..., s]
+    return tf @ X.T
 
 
 def conjugation_residual(st: StructureSet, F: VectorPoly, samples, which: str = "D") -> float:
@@ -154,24 +147,22 @@ def conjugation_residual(st: StructureSet, F: VectorPoly, samples, which: str = 
     Returns the max sample residual divided by scale = max(1, magnitudes of both
     sides), so a return value <= tol satisfies a "<= tol x scale" contract.
     """
-    params = st.params
-    H = _psi_times_t(st.X, F)
-    if which == "D":
-        tilde = hypergeometric_action(st.C, st.U, st.V, F)
-        raw = apply_D_t(st, H)
-    elif which == "E":
-        tilde = _e_tilde_t(st, F)
-        raw = apply_E_t(st, H)
-    else:
+    return float(_conjugation_residuals(st, F.coeffs[None], samples, which)[0])
+
+
+def _conjugation_residuals(st: StructureSet, stack: np.ndarray, samples, which: str) -> np.ndarray:
+    """conjugation_residual of each polynomial of a stack (count, degree+1, dim), in one pass."""
+    if which not in ("D", "E"):
         raise ValueError("which must be 'D' or 'E'")
-    worst = 0.0
-    scale = 1.0
-    for u in np.atleast_1d(np.asarray(samples, dtype=float)):
-        if not 0.0 < u < 1.0:
-            raise ValueError("samples must lie in (0,1)")
-        t = 1.0 - u
-        lhs = psi_at(params, u) @ tilde.evaluate_at(t)
-        rhs = -raw.evaluate_at(t)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-        scale = max(scale, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return worst / scale
+    u = np.atleast_1d(np.asarray(samples, dtype=float))
+    if not ((0.0 < u) & (u < 1.0)).all():
+        raise ValueError("samples must lie in (0,1)")
+    c = np.transpose(stack, (1, 0, 2))
+    tilde, raw = _tilde_t(st, which, c), _t_form(st, which, _psi_times_t(st.X, c))
+    # polyval runs Horner at every sample: values (count, dim, samples).
+    psi = st.X * (u[:, None] ** np.arange(st.dim, dtype=float))[:, None, :]
+    lhs = np.einsum("sij,bjs->bis", psi, np.polynomial.polynomial.polyval(1.0 - u, tilde))
+    rhs = -np.polynomial.polynomial.polyval(1.0 - u, raw)
+    worst = np.abs(lhs - rhs).max(axis=(1, 2))
+    return worst / np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=(1, 2)),
+                                              np.abs(rhs).max(axis=(1, 2))))

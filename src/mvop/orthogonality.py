@@ -18,10 +18,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .family import assemble_P, f_wr
+from .family import _Family, f_wr  # noqa: F401 (f_wr: perfbench's tests look it up here)
 from .linalg import MatrixPoly, VectorPoly
-from .params import ParamError, Params, in_S, validate
-from .structure import build_structure, pascal
+from .params import ParamError, Params, validate
+from .structure import pascal
 
 __all__ = [
     "WeightSpec",
@@ -202,16 +202,20 @@ def gram(wspec: WeightSpec, wmax: int, oversample: int = 1) -> GramResult:
     """Vector-level Gram matrix over all labels (w <= wmax) plus matrix-level blocks.
 
     The labels and the packages P_w are integrated separately, so the blocks
-    also check how assemble_P stacks the rows.
+    also check how P_w stacks the rows.
     """
-    params = wspec.params
+    return _gram(_Family(wspec.params), wmax, oversample)
+
+
+def _gram(fam: _Family, wmax: int, oversample: int = 1) -> GramResult:
+    """gram on a family: F_{w,r} is built once per label and P_w is stacked from those rows."""
+    params = fam.params
     _require_weight(params)
-    st = build_structure(params)
     dim = params.ell + 1
-    labels = [(w, r) for w in range(wmax + 1) for r in range(dim) if in_S(params, w, r)]
-    label_stack = _stack([f_wr(params, w, r, st).poly.coeffs[None] for w, r in labels])
-    pack_stack = _stack([assemble_P(params, w, st).P.coeffs.transpose(1, 0, 2)
-                         for w in range(wmax + 1)])
+    members = fam.members(wmax)
+    labels = [(ef.w, ef.r) for ef in members]
+    label_stack = _stack([ef.poly.coeffs[None] for ef in members])
+    pack_stack = _stack([fam.P(w).P.coeffs.transpose(1, 0, 2) for w in range(wmax + 1)])
     matrix, packed = _frame_grams(params, [label_stack, pack_stack], oversample)
     blocks = {(w, wp): packed[w * dim:(w + 1) * dim, wp * dim:(wp + 1) * dim]
               for w in range(wmax + 1) for wp in range(w, wmax + 1)}

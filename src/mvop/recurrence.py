@@ -9,6 +9,7 @@ observed transition counts are scored against those rows as binomial z-values.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from collections import Counter
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .family import _Family
+from .linalg import MatrixPoly
 from .params import ParamError, Params, in_S, validate
 
 __all__ = ["RecursionBlocks", "TransitionTally", "a_sq", "b_sq", "blocks",
@@ -143,18 +146,15 @@ def blocks(params: Params, w: int) -> RecursionBlocks:
 
 def three_term_residual(params: Params, w: int) -> float:
     """Max coefficient residual of (1-u) P_w - A P_{w-1} - B P_w - C P_{w+1}, relative."""
-    from .family import assemble_P
-    from .linalg import MatrixPoly
-    from .structure import build_structure
+    return _three_term(blocks(params, w), _Family(params).P)
 
-    st = build_structure(params)
-    blk = blocks(params, w)
-    Pw = assemble_P(params, w, st).P
-    Pup = assemble_P(params, w + 1, st).P
-    if w == 0:
-        Pdn = MatrixPoly.zeros(params.ell + 1)
-    else:
-        Pdn = assemble_P(params, w - 1, st).P
+
+def _three_term(blk: RecursionBlocks, package) -> float:
+    """three_term_residual at blk.w, reading P_v from package(v).P."""
+    w = blk.w
+    Pw = package(w).P
+    Pup = package(w + 1).P
+    Pdn = package(w - 1).P if w else MatrixPoly.zeros(len(blk.A))
     lhs = Pw - Pw.shift_mul_by_u()
     rhs = Pdn.left_mul(blk.A) + Pw.left_mul(blk.B) + Pup.left_mul(blk.C)
     diff = lhs - rhs
@@ -184,15 +184,10 @@ def walk(params: Params, steps: int, seed: int, start: tuple = (0, 0)) -> list:
     for _ in range(steps):
         if w not in rows_cache:
             blk = blocks(params, w)
-            rows_cache[w] = np.cumsum(np.hstack([blk.A, blk.B, blk.C]), axis=1)
-        cum = rows_cache[w][r]
-        x = rng.random()
-        idx = int(np.searchsorted(cum, x, side="right"))
-        if idx >= 3 * dim:
-            idx = 3 * dim - 1
-        move, r_new = divmod(idx, dim)
-        w = w + move - 1
-        r = r_new
+            rows_cache[w] = np.cumsum(np.hstack([blk.A, blk.B, blk.C]), axis=1).tolist()
+        idx = bisect.bisect_right(rows_cache[w][r], rng.random())
+        move, r = divmod(min(idx, 3 * dim - 1), dim)
+        w += move - 1
         path.append((w, r))
     return path
 

@@ -7,21 +7,20 @@ suites (eigen, ortho, recursion); "all" runs everything applicable.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .family import assemble_P, f_wr, t_recursion_residual
-from .linalg import VectorPoly
-from .operators import apply_D_u, apply_E_u, conjugation_residual
-from .orthogonality import (WeightSpec, gram, max_block_offdiag_ratio,
-                            max_offdiag_ratio, weight_W_at)
+from .family import _Family, f_wr, t_recursion_residual  # noqa: F401 (f_wr: for perfbench's tests)
+from .operators import _conjugation_residuals, apply_D_u, apply_E_u
+from .orthogonality import _gram, max_block_offdiag_ratio, max_offdiag_ratio, weight_W_at
 from .params import (ParamError, Params, in_S, lambda_eig, mu_eig, mu_of_lambda,
                      spectrum_injectivity_check)
-from .recurrence import blocks, three_term_residual, walk
+from .recurrence import _three_term, blocks, walk
 from .spectral import build_M, charpoly_residual, m_superdiagonal
-from .structure import build_structure, psi_at
+from .structure import psi_at
 
 __all__ = ["CheckResult", "RunReport", "run_suite", "run_grid", "default_grid"]
 
@@ -51,11 +50,6 @@ class RunReport:
         return all(c.status == "pass" for c in self.checks)
 
 
-def _labels(params: Params, wmax: int) -> list:
-    return [(w, r) for w in range(wmax + 1) for r in range(params.ell + 1)
-            if in_S(params, w, r)]
-
-
 def _check(name, tol, fn) -> CheckResult:
     t0 = time.perf_counter()
     try:
@@ -67,15 +61,14 @@ def _check(name, tol, fn) -> CheckResult:
     return CheckResult(name, status, resid, tol, time.perf_counter() - t0)
 
 
-def _eigen_checks(params: Params, wmax: int) -> list:
-    st = build_structure(params)
-    eigs = {lab: f_wr(params, lab[0], lab[1], st) for lab in _labels(params, wmax)}
+def _eigen_checks(fam: _Family, wmax: int) -> list:
+    params = fam.params
 
     def operator_resid():
         worst = 0.0
-        for ef in eigs.values():
+        for ef in fam.members(wmax):
             for apply_op, val in ((apply_D_u, ef.spectral.lam), (apply_E_u, ef.spectral.mu)):
-                lhs = apply_op(st, ef.poly)
+                lhs = apply_op(fam.st, ef.poly)
                 rhs = ef.poly.scale(val)
                 scale = max(1.0, lhs.max_abs, rhs.max_abs)
                 worst = max(worst, (lhs - rhs).max_abs / scale)
@@ -85,7 +78,8 @@ def _eigen_checks(params: Params, wmax: int) -> list:
         # f_wr already hard-checks termination and the leading-entry shape;
         # report the worst above-diagonal leakage in the leading coefficient.
         worst = 0.0
-        for (w, r), ef in eigs.items():
+        for ef in fam.members(wmax):
+            w, r = ef.w, ef.r
             if ef.poly.degree != w:
                 return float("inf")
             lead = ef.poly.coeffs[w]
@@ -95,14 +89,14 @@ def _eigen_checks(params: Params, wmax: int) -> list:
         return worst
 
     def charpoly():
-        return max(charpoly_residual(st, ef.spectral.lam) for ef in eigs.values())
+        return max(charpoly_residual(fam.st, ef.spectral.lam) for ef in fam.members(wmax))
 
     def superdiag_flat():
         if params.ell == 0:
             return 0.0
         lams = [-0.37, 4.25]
-        m_a = build_M(st, lams[0]).matrix
-        m_b = build_M(st, lams[1]).matrix
+        m_a = build_M(fam.st, lams[0]).matrix
+        m_b = build_M(fam.st, lams[1]).matrix
         sup_a = np.diag(m_a, 1)
         sup_b = np.diag(m_b, 1)
         closed = m_superdiagonal(params)
@@ -112,15 +106,12 @@ def _eigen_checks(params: Params, wmax: int) -> list:
         return max(flat, form) / scale
 
     def conjugation():
+        # 50 random degree-4 polynomials, each checked against both operators.
         rng = np.random.default_rng(20240601)
         samples = rng.uniform(0.05, 0.95, size=8)
-        worst = 0.0
-        for _ in range(50):
-            coeffs = rng.uniform(-1.0, 1.0, size=(5, params.ell + 1))
-            F = VectorPoly(coeffs)
-            for which in ("D", "E"):
-                worst = max(worst, conjugation_residual(st, F, samples, which))
-        return worst
+        stack = rng.uniform(-1.0, 1.0, size=(50, 5, params.ell + 1))
+        return max(_conjugation_residuals(fam.st, stack, samples, which).max()
+                   for which in ("D", "E"))
 
     def exact_ids():
         wtop = max(8, wmax)
@@ -148,9 +139,9 @@ def _eigen_checks(params: Params, wmax: int) -> list:
     ]
 
 
-def _ortho_checks(params: Params, wmax: int) -> list:
-    wspec = WeightSpec(params)
-    gres = gram(wspec, wmax)
+def _ortho_checks(fam: _Family, wmax: int) -> list:
+    params = fam.params
+    gres = functools.cache(lambda: _gram(fam, wmax))
 
     def weight_consistency():
         # W must equal Psi* V Psi and stay symmetric positive definite inside (0,1).
@@ -169,34 +160,33 @@ def _ortho_checks(params: Params, wmax: int) -> list:
 
     return [
         _check("ortho/weight_consistency", 1e-12, weight_consistency),
-        _check("ortho/gram_vector", 1e-9, lambda: max_offdiag_ratio(gres.matrix)),
-        _check("ortho/gram_matrix", 1e-9, lambda: max_block_offdiag_ratio(gres)),
+        _check("ortho/gram_vector", 1e-9, lambda: max_offdiag_ratio(gres().matrix)),
+        _check("ortho/gram_matrix", 1e-9, lambda: max_block_offdiag_ratio(gres())),
     ]
 
 
-def _recursion_checks(params: Params, wmax: int) -> list:
-    blks = {w: blocks(params, w) for w in range(wmax + 1)}
+def _recursion_checks(fam: _Family, wmax: int) -> list:
+    params = fam.params
+    blks = functools.cache(lambda: [blocks(params, w) for w in range(wmax + 1)])
 
     def row_sums():
         worst = 0.0
-        for blk in blks.values():
+        for blk in blks():
             sums = (blk.A + blk.B + blk.C).sum(axis=1)
             worst = max(worst, float(np.abs(sums - 1.0).max()))
         return worst
 
     def nonneg():
-        low = min(float(min(blk.A.min(), blk.B.min(), blk.C.min())) for blk in blks.values())
+        low = min(float(min(blk.A.min(), blk.B.min(), blk.C.min())) for blk in blks())
         return max(0.0, -low)
 
     def three_term():
-        return max(three_term_residual(params, w) for w in range(wmax + 1))
+        return max(_three_term(blk, fam.P) for blk in blks())
 
     def t_power():
-        st = build_structure(params)
         worst = 0.0
-        for (w, r) in _labels(params, wmax):
-            ef = f_wr(params, w, r, st)
-            worst = max(worst, t_recursion_residual(params, ef.poly, ef.spectral.lam, st))
+        for ef in fam.members(wmax):
+            worst = max(worst, t_recursion_residual(params, ef.poly, ef.spectral.lam, fam.st))
         return worst
 
     def walk_repro():
@@ -219,13 +209,16 @@ def run_suite(params: Params, suite: str = "all", wmax: int = 4) -> RunReport:
     # The weight and the blocks at w = 0 need every label (0, r) in S.
     if suite != "eigen" and params.m_eff < 0:
         raise ParamError(f"suite {suite!r} needs m >= 0 (alpha >= 0 in Jacobi mode)")
+    # One family per call, built lazily inside the checks: a label that raises
+    # fails only the checks that read it.
+    fam = _Family(params)
     checks = []
     if suite in ("eigen", "all"):
-        checks += _eigen_checks(params, wmax)
+        checks += _eigen_checks(fam, wmax)
     if suite in ("ortho", "all"):
-        checks += _ortho_checks(params, wmax)
+        checks += _ortho_checks(fam, wmax)
     if suite in ("recursion", "all"):
-        checks += _recursion_checks(params, wmax)
+        checks += _recursion_checks(fam, wmax)
     return RunReport(params=params.describe(), checks=checks)
 
 

@@ -178,8 +178,8 @@ def test_console_entry_point():
 
 
 # Degree-67 labels are past where the float series terminates at its exact degree.
-HIGH_W_ARGS = ["verify", "--n", "2", "--k", "1", "--ell", "0", "--m", "0",
-               "--suite", "recursion", "--wmax", "70"]
+HIGH_W_SET = ["verify", "--n", "2", "--k", "1", "--ell", "0", "--m", "0"]
+HIGH_W_ARGS = [*HIGH_W_SET, "--suite", "recursion", "--wmax", "70"]
 
 
 def test_verify_text_names_the_error_of_a_raising_check(capsys):
@@ -204,6 +204,44 @@ def test_verify_json_names_the_error_of_a_raising_check(capsys):
         assert checks[name]["error"].startswith("RuntimeError: series terminated")
     assert checks["recursion/row_sums"]["error"] is None
     assert checks["recursion/row_sums"]["status"] == "pass"
+
+
+# The checks that read a label of degree 67 or more at --wmax 70; the
+# remaining checks of each suite keep their verdict.
+HIGH_W_RAISING = ["eigen/operator_residuals", "eigen/degree_and_leading", "eigen/charpoly",
+                  "ortho/gram_vector", "ortho/gram_matrix",
+                  "recursion/three_term", "recursion/t_power"]
+
+
+@pytest.mark.parametrize("suite, total", [("all", 14), ("eigen", 6), ("ortho", 3)])
+def test_verify_text_fails_only_the_checks_of_a_raising_label(suite, total, capsys):
+    rc, out, _ = run_cli([*HIGH_W_SET, "--suite", suite, "--wmax", "70"], capsys)
+    assert rc == 3
+    lines = out.splitlines()
+    names = [line.split(" :: ")[1].split()[0] for line in lines[:-1]]
+    passed = [name for name in names if name not in HIGH_W_RAISING]
+    assert len(names) == total
+    assert lines[-1] == f"summary: {len(passed)}/{total} checks passed on 1 parameter set(s)"
+    for name, line in zip(names, lines):
+        if name not in passed:
+            assert line.startswith("[FAIL]") and "max_resid=inf" in line
+            assert re.search(r" error=RuntimeError: series terminated at degree \d+, expected w=\d+$", line)
+        else:
+            assert line.startswith("[PASS]") and "error=" not in line
+
+
+def test_verify_json_fails_only_the_checks_of_a_raising_label(capsys):
+    rc, out, err = run_cli([*HIGH_W_SET, "--suite", "all", "--wmax", "70", "--format", "json"],
+                           capsys)
+    assert rc == 3 and err == ""
+    checks = json.loads(out)[0]["checks"]
+    assert len(checks) == 14
+    for check in checks:
+        if check["name"] in HIGH_W_RAISING:
+            assert check["status"] == "fail" and check["max_residual"] is None
+            assert check["error"].startswith("RuntimeError: series terminated")
+        else:
+            assert check["status"] == "pass" and check["error"] is None
 
 
 @pytest.mark.parametrize("args", [

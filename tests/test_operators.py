@@ -3,8 +3,8 @@ import pytest
 
 from mvop.family import f_wr, h_from_f, reexpand_in_t
 from mvop.linalg import VectorPoly
-from mvop.operators import (apply_D_t, apply_D_u, apply_E_t, apply_E_u,
-                            conjugation_residual, hypergeometric_action)
+from mvop.operators import (_conjugation_residuals, apply_D_t, apply_D_u, apply_E_t,
+                            apply_E_u, conjugation_residual, hypergeometric_action)
 from mvop.params import Params
 from mvop.structure import build_structure
 
@@ -92,6 +92,19 @@ def test_conjugation_residual_random_polys(params, which):
     for _ in range(10):
         F = VectorPoly(rng.uniform(-1, 1, (5, params.ell + 1)))
         assert conjugation_residual(st, F, samples, which) <= 1e-9
+
+
+@pytest.mark.parametrize("params", GRID + [Params.jacobi(alpha=0.5, beta=1.5, k=1, ell=2)])
+def test_batched_conjugation_matches_the_per_polynomial_loop(params):
+    """The stacked check of eigen/conjugation against one conjugation_residual call per polynomial."""
+    st = build_structure(params)
+    rng = np.random.default_rng(20240601)
+    samples = rng.uniform(0.05, 0.95, size=8)
+    stack = rng.uniform(-1.0, 1.0, size=(50, 5, params.ell + 1))
+    for which in ("D", "E"):
+        batched = _conjugation_residuals(st, stack, samples, which).max()
+        looped = max(conjugation_residual(st, VectorPoly(c), samples, which) for c in stack)
+        assert abs(batched - looped) <= 1e-14
 
 
 def test_conjugation_rejects_endpoint_samples():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import eval_jacobi
@@ -88,6 +90,26 @@ def test_walk_deterministic_for_fixed_seed():
     assert t1 == t2
     t3 = walk(P0, 200, seed=10)
     assert t1 != t3
+
+
+# SHA-256 of the 20000-step path from (0, 0), one "w,r" line per state.
+PINNED_WALKS = {
+    (Params.integer(n=3, k=1, ell=2, m=1), 7):
+        "e91d73b02e4838d5febefcfa760ffc6d14061acd3f5c0350b03bfc0c4770d732",
+    (Params.integer(n=3, k=1, ell=2, m=1), 2024):
+        "8a7a8e777cce93285b0ccf861772d0cfdf5fed0a2db76348d73ada276125588c",
+    (Params.jacobi(alpha=0.5, beta=1.5, k=1, ell=2), 7):
+        "24ab36d7a7604d6391df5d22c73518cc3cd6d7ec1388bf13c6bbf2d2f33a0cbe",
+    (Params.jacobi(alpha=0.5, beta=1.5, k=1, ell=2), 2024):
+        "fa75b5f038fb58c2428033fbca128e1bba5e452e02f6fa20b182ca2fc51f3f7b",
+}
+
+
+@pytest.mark.parametrize("params, seed", list(PINNED_WALKS))
+def test_walk_trajectory_pinned(params, seed):
+    path = walk(params, 20000, seed=seed)
+    text = "".join(f"{w},{r}\n" for w, r in path)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_WALKS[params, seed]
 
 
 def test_walk_zero_steps_returns_start():

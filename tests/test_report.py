@@ -1,0 +1,43 @@
+"""One verify op builds each eigenfunction F_{w,r} once.
+
+f_wr is counted wherever an mvop module binds it, so a caller that imports the
+name and calls it directly is counted too.
+"""
+
+import sys
+
+import pytest
+
+from mvop import family
+from mvop.orthogonality import WeightSpec, gram
+from mvop.params import Params
+from mvop.report import run_suite
+
+P = Params.integer(n=3, k=1, ell=2, m=1)
+
+
+@pytest.fixture
+def f_wr_calls(monkeypatch):
+    calls = []
+    orig = family.f_wr
+
+    def counting(params, w, r, structure=None):
+        calls.append((w, r))
+        return orig(params, w, r, structure)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "mvop" and vars(mod).get("f_wr") is orig:
+            monkeypatch.setattr(mod, "f_wr", counting)
+    return calls
+
+
+def test_run_suite_builds_each_label_once(f_wr_calls):
+    report = run_suite(P, "all", 4)
+    assert report.ok
+    # wmax + 1 for the three-term check's P_{w+1}.
+    assert sorted(f_wr_calls) == [(w, r) for w in range(6) for r in range(3)]
+
+
+def test_gram_builds_each_label_once(f_wr_calls):
+    gram(WeightSpec(P), 8)
+    assert sorted(f_wr_calls) == [(w, r) for w in range(9) for r in range(3)]
