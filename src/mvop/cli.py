@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .family import assemble_P, f_wr
+from .family import _Family, assemble_P, f_wr
 from .orthogonality import WeightSpec, gram
 from .params import ParamError, Params, validate
-from .recurrence import blocks, three_term_residual, walk
+from .recurrence import _blocks_upto, _three_term, walk
 from .report import SUITES, run_grid, run_suite
 from .structure import build_structure
 
@@ -148,15 +148,15 @@ def cmd_gram(args):
 
 def cmd_recursion(args):
     params = _build_params(args)
+    fam = _Family(params)
     out = []
-    for w in range(args.wmax + 1):
-        blk = blocks(params, w)
+    for blk in _blocks_upto(params, args.wmax):
         row_err = float(np.abs((blk.A + blk.B + blk.C).sum(axis=1) - 1.0).max())
         out.append({
-            "w": w,
+            "w": blk.w,
             "A": blk.A, "B": blk.B, "C": blk.C,
             "row_sum_residual": row_err,
-            "three_term_residual": three_term_residual(params, w),
+            "three_term_residual": _three_term(blk, fam.P),
         })
     payload = {"params": params.describe(), "wmax": args.wmax, "blocks": out}
     return dumps17(payload), 0

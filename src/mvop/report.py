@@ -18,7 +18,7 @@ from .operators import _conjugation_residuals, apply_D_u, apply_E_u
 from .orthogonality import _gram, max_block_offdiag_ratio, max_offdiag_ratio, weight_W_at
 from .params import (ParamError, Params, in_S, lambda_eig, mu_eig, mu_of_lambda,
                      spectrum_injectivity_check)
-from .recurrence import _three_term, blocks, walk
+from .recurrence import _blocks_upto, _three_term, walk
 from .spectral import build_M, charpoly_residual, m_superdiagonal
 from .structure import psi_at
 
@@ -167,7 +167,7 @@ def _ortho_checks(fam: _Family, wmax: int) -> list:
 
 def _recursion_checks(fam: _Family, wmax: int) -> list:
     params = fam.params
-    blks = functools.cache(lambda: [blocks(params, w) for w in range(wmax + 1)])
+    blks = functools.cache(lambda: _blocks_upto(params, wmax))
 
     def row_sums():
         worst = 0.0

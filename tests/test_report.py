@@ -1,4 +1,4 @@
-"""One verify op builds each eigenfunction F_{w,r} once.
+"""One verify op, gram or recursion dump builds each eigenfunction F_{w,r} once.
 
 f_wr is counted wherever an mvop module binds it, so a caller that imports the
 name and calls it directly is counted too.
@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from mvop import family
+from mvop import cli, family
 from mvop.orthogonality import WeightSpec, gram
 from mvop.params import Params
 from mvop.report import run_suite
@@ -41,3 +41,12 @@ def test_run_suite_builds_each_label_once(f_wr_calls):
 def test_gram_builds_each_label_once(f_wr_calls):
     gram(WeightSpec(P), 8)
     assert sorted(f_wr_calls) == [(w, r) for w in range(9) for r in range(3)]
+
+
+def test_recursion_command_builds_each_label_once(f_wr_calls, tmp_path):
+    out = tmp_path / "rec.json"
+    rc = cli.main(["recursion", "--n", "3", "--k", "1", "--ell", "2", "--m", "1",
+                   "--wmax", "4", "--out", str(out)])
+    assert rc == 0
+    # wmax + 1 for the three-term residual's P_{w+1}.
+    assert sorted(f_wr_calls) == [(w, r) for w in range(6) for r in range(3)]
