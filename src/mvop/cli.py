@@ -224,6 +224,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.wmax < 0:
+            raise ParamError("wmax >= 0 violated")
         text, rc = _COMMANDS[args.cmd](args)
     except ParamError as exc:
         print(f"error: {exc}", file=sys.stderr)

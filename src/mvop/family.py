@@ -16,6 +16,7 @@ import numpy as np
 
 from .hypergeom import h1_apply, h1_coeffs
 from .linalg import MatrixPoly, VectorPoly
+from .operators import _psi, _second_order, _to_t
 from .params import ParamError, Params, SpectralPair, in_S, lambda_eig, mu_eig
 from .spectral import eigvec
 from .structure import StructureSet, build_structure, pascal
@@ -136,24 +137,12 @@ class _Family:
 
 def h_from_f(params: Params, F: VectorPoly) -> VectorPoly:
     """H = Psi F in the u variable; component s of Psi-free input is shifted by u^s, then X acts."""
-    X = pascal(params.ell).astype(float)
-    d, dim = F.degree, F.dim
-    shifted = np.zeros((d + dim, dim))
-    for s in range(dim):
-        shifted[s: s + d + 1, s] = F.coeffs[:, s]
-    return VectorPoly(shifted @ X.T).trim()
+    return VectorPoly(_psi(pascal(params.ell).astype(float), F.coeffs)).trim()
 
 
 def reexpand_in_t(F: VectorPoly) -> VectorPoly:
     """Rewrite sum_p u^p c_p in powers of t = 1-u, exactly via binomials."""
-    d = F.degree
-    out = np.zeros_like(F.coeffs)
-    for j in range(d + 1):
-        acc = np.zeros_like(F.coeffs[0])
-        for p in range(j, d + 1):
-            acc += math.comb(p, j) * F.coeffs[p]
-        out[j] = (-1.0) ** j * acc
-    return VectorPoly(out)
+    return VectorPoly(_to_t(F.coeffs))
 
 
 def spherical_profile(params: Params, w: int, r: int, theta_grid) -> np.ndarray:
@@ -186,27 +175,18 @@ def t_recursion_residual(params: Params, F: VectorPoly, lam: float,
     "<= tol x coefficient scale" holds.
     """
     st = structure if structure is not None else build_structure(params)
-    lam_t = -float(lam)
-    n = float(params.n_eff)
-    A0, B0, B1 = st.A0, st.B0, st.B1
-    G = reexpand_in_t(h_from_f(params, F))
-    c = G.coeffs
-    d = G.degree
-    dim = G.dim
-    zero = np.zeros(dim)
+    c = reexpand_in_t(h_from_f(params, F)).coeffs
+    rows = _second_order(c, _t_recursion_table(st, float(lam)))
+    return float(np.abs(rows).max()) / max(float(np.abs(c).max()), 1e-300)
 
-    def coef(j: int) -> np.ndarray:
-        return c[j] if 0 <= j <= d else zero
 
-    worst = 0.0
-    for j in range(d + 2):
-        prev, cur, nxt = coef(j - 1), coef(j), coef(j + 1)
-        row = ((j - 1) * (j - 2) - lam_t) * prev + (j - 1) * (A0 @ prev + n * prev) + B1 @ prev
-        row -= (2 * j * (j - 1) - lam_t) * cur + j * (2 * (A0 @ cur) + n * cur) - B0 @ cur
-        row += (j + 1) * (j * nxt + A0 @ nxt)
-        worst = max(worst, float(np.abs(row).max()))
-    scale = max(float(np.abs(c).max()), 1e-300)
-    return worst / scale
+def _t_recursion_table(st: StructureSet, lam: float) -> list:
+    """-(1-t)(D_t + lam) as a table: row j of its action on H is the recursion at t^j."""
+    eye = np.eye(st.dim)
+    A0, n = st.A0, float(st.params.n_eff)
+    return [[st.B0 - lam * eye, st.B1 + lam * eye],
+            [A0, -(2 * A0 + n * eye), A0 + n * eye],
+            [None, eye, -2 * eye, eye]]
 
 
 def vanishing_orders(params: Params, F: VectorPoly) -> list[int]:

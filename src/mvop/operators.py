@@ -3,9 +3,10 @@
 Both operators exist in two variables related by t = 1-u. The t-forms carry a
 rational 1/(1-t) zero-order term that must cancel on polynomial input; the
 u-forms (conjugated by Psi) are polynomial-coefficient transforms outright.
-Everything here acts exactly on coefficient sequences; sampling only appears in
-the conjugation residual check, which takes a stack of polynomials at once (the
-private transforms accept a batch axis between the power and vector axes).
+Each is a coefficient table applied by _second_order, exactly on coefficient
+sequences; sampling only appears in the conjugation residual check, which takes
+a stack of polynomials at once (the private transforms accept a batch axis
+between the power and vector axes).
 """
 
 from __future__ import annotations
@@ -28,26 +29,28 @@ __all__ = [
 
 
 def hypergeometric_action(Cm, Um, Vm, F: VectorPoly) -> VectorPoly:
-    """Coefficients of x(1-x)F'' + (C - xU)F' - VF for matrix parameters C, U, V.
-
-    Power p of the result is (p+1)(p I + C)F_{p+1} - (p(p-1) I + p U + V)F_p.
-    """
+    """Coefficients of x(1-x)F'' + (C - xU)F' - VF for matrix parameters C, U, V."""
     Cm, Um, Vm = (np.asarray(a, dtype=float) for a in (Cm, Um, Vm))
     eye = np.eye(len(Cm))
-    return VectorPoly(_second_order(F.coeffs, eye, eye, Cm, Um, Vm)).trim()
+    return VectorPoly(_second_order(F.coeffs, [[-Vm], [Cm, -Um], [None, eye, -eye]])).trim()
 
 
-def _second_order(c: np.ndarray, S0, S1, F0, F1, Z) -> np.ndarray:
-    """Coefficients of x(S0 - xS1)F'' + (F0 - xF1)F' - ZF; c[p] is one row or a stack of rows.
+def _second_order(c: np.ndarray, table) -> np.ndarray:
+    """Coefficients of sum_k (sum_i x^i table[k][i]) d^k/dx^k applied to sum_p x^p c[p].
 
-    Power p is (p+1)(p S0 + F0)F_{p+1} - (p(p-1) S1 + p F1 + Z)F_p.
+    table[k][i] is a matrix or None; c[p] is one row or a stack of rows. The
+    result is longer than c where a row of the table is long enough to raise the degree.
     """
-    d = len(c) - 1
-    out = np.zeros_like(c)
-    for p in range(d + 1):
-        out[p] = -(p * (p - 1) * (c[p] @ S1.T) + p * (c[p] @ F1.T) + c[p] @ Z.T)
-        if p + 1 <= d:
-            out[p] += (p + 1) * (p * (c[p + 1] @ S0.T) + c[p + 1] @ F0.T)
+    n = len(c)
+    out = np.zeros((n - 1 + max(len(row) - k for k, row in enumerate(table)),) + c.shape[1:])
+    falling = np.ones(n)
+    for k, row in enumerate(table[:n]):
+        # d^k/dx^k: power p goes to p-k with the factor p(p-1)...(p-k+1).
+        dk = c[k:] * falling[k:].reshape((-1,) + (1,) * (c.ndim - 1))
+        for i, a in enumerate(row):
+            if a is not None:
+                out[i: i + n - k] += dk @ a.T
+        falling *= np.arange(n) - k
     return out
 
 
@@ -59,17 +62,9 @@ def apply_D_u(st: StructureSet, F: VectorPoly) -> VectorPoly:
 def apply_E_u(st: StructureSet, F: VectorPoly) -> VectorPoly:
     """Second operator in u: (1-u)(M0-M1+uM1)F'' + (P1-P0-uP1)F' - (m-k)VF."""
     mk = float(st.params.m_eff) - st.params.k
-    M0, M1, P0, P1, V = st.M0, st.M1, st.P0, st.P1, st.V
-    c = F.coeffs
-    d = F.degree
-    out = np.zeros_like(c)
-    for p in range(d + 1):
-        out[p] = -(p * (p - 1) * (c[p] @ M1.T) + p * (c[p] @ P1.T) + mk * (c[p] @ V.T))
-        if p + 1 <= d:
-            out[p] += (p + 1) * (p * (c[p + 1] @ (2 * M1 - M0).T) + c[p + 1] @ (P1 - P0).T)
-        if p + 2 <= d:
-            out[p] += (p + 2) * (p + 1) * (c[p + 2] @ (M0 - M1).T)
-    return VectorPoly(out).trim()
+    M0, M1, P0, P1 = st.M0, st.M1, st.P0, st.P1
+    table = [[-mk * st.V], [P1 - P0, -P1], [M0 - M1, 2 * M1 - M0, -M1]]
+    return VectorPoly(_second_order(F.coeffs, table)).trim()
 
 
 def _div_by_one_minus_t(coeffs: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
@@ -106,15 +101,8 @@ def _t_form(st: StructureSet, which: str, c: np.ndarray) -> np.ndarray:
         S, F0, F1, Z0, Z1 = eye, st.A0, st.A0 + float(st.params.n_eff) * eye, st.B0, st.B1
     else:
         S, F0, F1, Z0, Z1 = st.Mdiag, st.C0, st.C1, st.D0, st.D1
-    g = np.zeros((len(c) + 1,) + c.shape[1:])
-    g[:-1] += c @ Z0.T
-    g[1:] += c @ Z1.T
-    out = _div_by_one_minus_t(g)
-    for p in range(len(c)):
-        out[p] -= p * (p - 1) * (c[p] @ S.T) + p * (c[p] @ F1.T)
-        if p + 1 < len(c):
-            out[p] += (p + 1) * p * (c[p + 1] @ S.T) + (p + 1) * (c[p + 1] @ F0.T)
-    return -out
+    zero_order = _div_by_one_minus_t(_second_order(c, [[Z0, Z1]]))
+    return -(zero_order + _second_order(c, [[None], [F0, -F1], [None, S, -S]]))
 
 
 def _tilde_t(st: StructureSet, which: str, c: np.ndarray) -> np.ndarray:
@@ -122,22 +110,28 @@ def _tilde_t(st: StructureSet, which: str, c: np.ndarray) -> np.ndarray:
     - (m-k)VF for E."""
     if which == "D":
         eye = np.eye(st.dim)
-        return _second_order(c, eye, eye, st.C, st.U, st.V)
+        return _second_order(c, [[-st.V], [st.C, -st.U], [None, eye, -eye]])
     mk = float(st.params.m_eff) - st.params.k
-    return _second_order(c, st.M0, st.M1, st.P0, st.P1, mk * st.V)
+    return _second_order(c, [[-mk * st.V], [st.P0, -st.P1], [None, st.M0, -st.M1]])
 
 
-def _psi_times_t(X: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """H = X diag((1-t)^s) F as exact coefficients in t.
-
-    The binomial terms are summed highest power first, the order np.convolve uses.
-    """
-    d, dim = len(c) - 1, c.shape[-1]
-    tf = np.zeros((d + dim,) + c.shape[1:])
+def _psi(X: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X diag(x^0..x^ell) applied to sum_p x^p c[p]: component s shifts up by s powers."""
+    dim = c.shape[-1]
+    shifted = np.zeros((len(c) + dim - 1,) + c.shape[1:])
     for s in range(dim):
-        for i in range(s, -1, -1):
-            tf[i: i + d + 1, ..., s] += math.comb(s, i) * (-1.0) ** i * c[..., s]
-    return tf @ X.T
+        shifted[s: s + len(c), ..., s] = c[..., s]
+    return shifted @ X.T
+
+
+def _to_t(c: np.ndarray) -> np.ndarray:
+    """Rewrite sum_p x^p c[p] in powers of 1-x; the substitution is its own inverse.
+
+    The matrix (-1)^j binom(p, j) is built in floats: int64 overflows from p = 67.
+    """
+    n = len(c)
+    T = np.array([[(-1.0) ** j * math.comb(p, j) for p in range(n)] for j in range(n)])
+    return np.tensordot(T, c, (1, 0))
 
 
 def conjugation_residual(st: StructureSet, F: VectorPoly, samples, which: str = "D") -> float:
@@ -158,7 +152,7 @@ def _conjugation_residuals(st: StructureSet, stack: np.ndarray, samples, which: 
     if not ((0.0 < u) & (u < 1.0)).all():
         raise ValueError("samples must lie in (0,1)")
     c = np.transpose(stack, (1, 0, 2))
-    tilde, raw = _tilde_t(st, which, c), _t_form(st, which, _psi_times_t(st.X, c))
+    tilde, raw = _tilde_t(st, which, c), _t_form(st, which, _to_t(_psi(st.X, _to_t(c))))
     # polyval runs Horner at every sample: values (count, dim, samples).
     psi = st.X * (u[:, None] ** np.arange(st.dim, dtype=float))[:, None, :]
     lhs = np.einsum("sij,bjs->bis", psi, np.polynomial.polynomial.polyval(1.0 - u, tilde))

@@ -41,10 +41,6 @@ __all__ = [
 class WeightSpec:
     params: Params
 
-    @property
-    def prefactor(self) -> float:
-        return 2.0 * float(self.params.n_eff)
-
 
 def _require_weight(params: Params) -> None:
     validate(params)
@@ -124,7 +120,7 @@ def _gj_rule(npts: int, a_exp: float, b_exp: float) -> tuple[np.ndarray, np.ndar
     return (x + 1.0) / 2.0, w * 0.5 ** (a_exp + b_exp + 1.0)
 
 
-def _frame_rule(params: Params, r: int, degree: int, oversample: int):
+def _frame_rule(params: Params, r: int, degree: int):
     """Quadrature for the r-th diagonal term of V, for vector polynomials of degree <= degree.
 
     Returns the nodes u, the weights with V_rr(u) = 2n c_r u^(n-1) (1-u)^(m+ell-r)
@@ -137,10 +133,10 @@ def _frame_rule(params: Params, r: int, degree: int, oversample: int):
     a_exp = float(params.m_eff) + ell - r
     poly_deg = 2 * (degree + r)
     if params.is_jacobi:
-        u, wq = _gj_rule(oversample * (poly_deg // 2 + 1), a_exp, n - 1.0)
+        u, wq = _gj_rule(poly_deg // 2 + 1, a_exp, n - 1.0)
     else:
         deg = poly_deg + params.n - 1 + params.m + ell - r
-        u, wq = _gl_rule(oversample * (deg // 2 + 1))
+        u, wq = _gl_rule(deg // 2 + 1)
         wq = wq * u ** (n - 1.0) * (1.0 - u) ** a_exp
     wq = 2.0 * n * _weight_coeffs(params)[r] * wq
     psi = pascal(ell)[r] * u[:, None] ** np.arange(ell + 1)
@@ -157,7 +153,7 @@ def _stack(parts) -> np.ndarray:
     return out
 
 
-def _frame_grams(params: Params, stacks: list, oversample: int) -> list:
+def _frame_grams(params: Params, stacks: list) -> list:
     """<p_i, p_j>_W for every pair within each stack of vector polynomials.
 
     A stack is an array (count, degree+1, ell+1) of coefficients. All stacks
@@ -167,7 +163,7 @@ def _frame_grams(params: Params, stacks: list, oversample: int) -> list:
     degree = max(c.shape[1] for c in stacks) - 1
     out = [np.zeros((len(c), len(c))) for c in stacks]
     for r in range(params.ell + 1):
-        u, wq, psi = _frame_rule(params, r, degree, oversample)
+        u, wq, psi = _frame_rule(params, r, degree)
         vander = u[:, None] ** np.arange(degree + 1)
         for acc, c in zip(out, stacks):
             values = np.tensordot(vander[:, :c.shape[1]], c, (1, 1))
@@ -176,19 +172,19 @@ def _frame_grams(params: Params, stacks: list, oversample: int) -> list:
     return [(g + g.T) / 2.0 for g in out]
 
 
-def inner_vec(wspec: WeightSpec, F1: VectorPoly, F2: VectorPoly, oversample: int = 1) -> float:
+def inner_vec(wspec: WeightSpec, F1: VectorPoly, F2: VectorPoly) -> float:
     """<F1, F2>_W = integral of F2(u)^t W(u) F1(u) over [0,1], exact quadrature."""
     _require_weight(wspec.params)
     stack = _stack([F1.coeffs[None], F2.coeffs[None]])
-    return float(_frame_grams(wspec.params, [stack], oversample)[0][0, 1])
+    return float(_frame_grams(wspec.params, [stack])[0][0, 1])
 
 
-def inner_mat(wspec: WeightSpec, P1: MatrixPoly, P2: MatrixPoly, oversample: int = 1) -> np.ndarray:
+def inner_mat(wspec: WeightSpec, P1: MatrixPoly, P2: MatrixPoly) -> np.ndarray:
     """Matrix-level integral of P1(u) W(u) P2(u)^t over [0,1]."""
     _require_weight(wspec.params)
     dim = P1.dim
     stack = _stack([P1.coeffs.transpose(1, 0, 2), P2.coeffs.transpose(1, 0, 2)])
-    return _frame_grams(wspec.params, [stack], oversample)[0][:dim, dim:]
+    return _frame_grams(wspec.params, [stack])[0][:dim, dim:]
 
 
 @dataclass(frozen=True)
@@ -198,16 +194,18 @@ class GramResult:
     blocks: dict
 
 
-def gram(wspec: WeightSpec, wmax: int, oversample: int = 1) -> GramResult:
+def gram(wspec: WeightSpec, wmax: int) -> GramResult:
     """Vector-level Gram matrix over all labels (w <= wmax) plus matrix-level blocks.
 
     The labels and the packages P_w are integrated separately, so the blocks
     also check how P_w stacks the rows.
     """
-    return _gram(_Family(wspec.params), wmax, oversample)
+    if wmax < 0:
+        raise ParamError("wmax >= 0 violated")
+    return _gram(_Family(wspec.params), wmax)
 
 
-def _gram(fam: _Family, wmax: int, oversample: int = 1) -> GramResult:
+def _gram(fam: _Family, wmax: int) -> GramResult:
     """gram on a family: F_{w,r} is built once per label and P_w is stacked from those rows."""
     params = fam.params
     _require_weight(params)
@@ -216,7 +214,7 @@ def _gram(fam: _Family, wmax: int, oversample: int = 1) -> GramResult:
     labels = [(ef.w, ef.r) for ef in members]
     label_stack = _stack([ef.poly.coeffs[None] for ef in members])
     pack_stack = _stack([fam.P(w).P.coeffs.transpose(1, 0, 2) for w in range(wmax + 1)])
-    matrix, packed = _frame_grams(params, [label_stack, pack_stack], oversample)
+    matrix, packed = _frame_grams(params, [label_stack, pack_stack])
     blocks = {(w, wp): packed[w * dim:(w + 1) * dim, wp * dim:(wp + 1) * dim]
               for w in range(wmax + 1) for wp in range(w, wmax + 1)}
     return GramResult(labels=labels, matrix=matrix, blocks=blocks)

@@ -8,6 +8,7 @@ suites (eigen, ortho, recursion); "all" runs everything applicable.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from .family import _Family, f_wr, t_recursion_residual  # noqa: F401 (f_wr: for perfbench's tests)
 from .operators import _conjugation_residuals, apply_D_u, apply_E_u
-from .orthogonality import _gram, max_block_offdiag_ratio, max_offdiag_ratio, weight_W_at
+from .orthogonality import (_gram, max_block_offdiag_ratio, max_offdiag_ratio, weight_V_at,
+                            weight_W_at)
 from .params import (ParamError, Params, in_S, lambda_eig, mu_eig, mu_of_lambda,
                      spectrum_injectivity_check)
 from .recurrence import _blocks_upto, _three_term, walk
@@ -30,7 +32,8 @@ SUITES = ("eigen", "ortho", "recursion", "all")
 @dataclass(frozen=True)
 class CheckResult:
     """One check's outcome. error is "<ExceptionType>: <message>" when the check
-    raised (max_residual is then inf), None when it returned a residual."""
+    raised or returned a non-finite residual (max_residual is then inf), None
+    when it returned a finite residual."""
 
     name: str
     status: str
@@ -54,6 +57,8 @@ def _check(name, tol, fn) -> CheckResult:
     t0 = time.perf_counter()
     try:
         resid = float(fn())
+        if not math.isfinite(resid):
+            raise ValueError(f"non-finite residual {resid}")
     except Exception as exc:
         return CheckResult(name, "fail", float("inf"), tol, time.perf_counter() - t0,
                            f"{type(exc).__name__}: {exc}")
@@ -80,8 +85,6 @@ def _eigen_checks(fam: _Family, wmax: int) -> list:
         worst = 0.0
         for ef in fam.members(wmax):
             w, r = ef.w, ef.r
-            if ef.poly.degree != w:
-                return float("inf")
             lead = ef.poly.coeffs[w]
             scale = max(ef.poly.max_abs, 1e-300)
             if r + 1 <= params.ell:
@@ -94,11 +97,7 @@ def _eigen_checks(fam: _Family, wmax: int) -> list:
     def superdiag_flat():
         if params.ell == 0:
             return 0.0
-        lams = [-0.37, 4.25]
-        m_a = build_M(fam.st, lams[0]).matrix
-        m_b = build_M(fam.st, lams[1]).matrix
-        sup_a = np.diag(m_a, 1)
-        sup_b = np.diag(m_b, 1)
+        sup_a, sup_b = (np.diag(build_M(fam.st, lam).matrix, 1) for lam in (-0.37, 4.25))
         closed = m_superdiagonal(params)
         scale = max(1.0, float(np.abs(closed).max()))
         flat = float(np.abs(sup_a - sup_b).max())
@@ -145,17 +144,16 @@ def _ortho_checks(fam: _Family, wmax: int) -> list:
 
     def weight_consistency():
         # W must equal Psi* V Psi and stay symmetric positive definite inside (0,1).
-        from .orthogonality import weight_V_at
         worst = 0.0
         for u in np.linspace(0.08, 0.92, 7):
             W = weight_W_at(params, u)
             psi = psi_at(params, u)
             rebuilt = psi.T @ weight_V_at(params, u) @ psi
             worst = max(worst, float(np.abs(W - rebuilt).max()) / max(1.0, float(np.abs(W).max())))
-            if float(np.abs(W - W.T).max()) != 0.0:
-                return float("inf")
-            if float(np.linalg.eigvalsh(W).min()) <= 0.0:
-                return float("inf")
+            asym, low = float(np.abs(W - W.T).max()), float(np.linalg.eigvalsh(W).min())
+            if asym != 0.0 or low <= 0.0:
+                raise ValueError(f"W(u={u:.3g}) is not symmetric positive definite: "
+                                 f"asymmetry {asym:.3e}, smallest eigenvalue {low:.3e}")
         return worst
 
     return [
@@ -184,10 +182,8 @@ def _recursion_checks(fam: _Family, wmax: int) -> list:
         return max(_three_term(blk, fam.P) for blk in blks())
 
     def t_power():
-        worst = 0.0
-        for ef in fam.members(wmax):
-            worst = max(worst, t_recursion_residual(params, ef.poly, ef.spectral.lam, fam.st))
-        return worst
+        return max(t_recursion_residual(params, ef.poly, ef.spectral.lam, fam.st)
+                   for ef in fam.members(wmax))
 
     def walk_repro():
         a = walk(params, 300, seed=123)
@@ -206,6 +202,8 @@ def _recursion_checks(fam: _Family, wmax: int) -> list:
 def run_suite(params: Params, suite: str = "all", wmax: int = 4) -> RunReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    if wmax < 0:
+        raise ParamError("wmax >= 0 violated")
     # The weight and the blocks at w = 0 need every label (0, r) in S.
     if suite != "eigen" and params.m_eff < 0:
         raise ParamError(f"suite {suite!r} needs m >= 0 (alpha >= 0 in Jacobi mode)")

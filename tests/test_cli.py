@@ -48,6 +48,13 @@ def test_malformed_params_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("cmd", ["gram", "family", "recursion", "verify"])
+def test_negative_wmax_exit_code(cmd, capsys):
+    rc, out, err = run_cli([cmd, *P0_ARGS, "--wmax", "-1"], capsys)
+    assert rc == 2 and out == ""
+    assert err.strip() == "error: wmax >= 0 violated"
+
+
 def test_missing_params_exit_code(capsys):
     rc, _, err = run_cli(["eigen", "--w", "0", "--r", "0"], capsys)
     assert rc == 2
@@ -242,6 +249,17 @@ def test_verify_json_fails_only_the_checks_of_a_raising_label(capsys):
             assert check["error"].startswith("RuntimeError: series terminated")
         else:
             assert check["status"] == "pass" and check["error"] is None
+
+
+def test_verify_json_names_a_weight_that_is_not_positive_definite(capsys):
+    # At (9,1,8,1) W(0.92) has a slightly negative eigenvalue (condition ~5e16).
+    rc, out, err = run_cli(["verify", "--n", "9", "--k", "1", "--ell", "8", "--m", "1",
+                            "--suite", "ortho", "--format", "json"], capsys)
+    assert rc == 3 and err == ""
+    check = json.loads(out)[0]["checks"][0]
+    assert check["name"] == "ortho/weight_consistency" and check["status"] == "fail"
+    assert check["max_residual"] is None
+    assert check["error"].startswith("ValueError: W(u=0.92) is not symmetric positive definite")
 
 
 @pytest.mark.parametrize("args", [

@@ -153,6 +153,15 @@ def test_reexpand_in_t_is_substitution(vals):
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, F.max_abs)
 
 
+def test_reexpand_in_t_at_degree_70_gives_the_signed_binomials():
+    # Column p of the identity is u^p = sum_j (-1)^j binom(p, j) t^j. int64 binomials
+    # overflow from degree 67; float ones stay correctly rounded.
+    G = reexpand_in_t(VectorPoly(np.eye(71)))
+    exact = np.array([[(-1.0) ** j * math.comb(p, j) for p in range(71)] for j in range(71)])
+    assert exact.max() > 1e20
+    assert (np.abs(G.coeffs - exact) <= 1e-12 * np.abs(exact)).all()
+
+
 def test_profile_at_zero_is_all_ones():
     for (w, r) in [(0, 0), (1, 1), (2, 0)]:
         prof = spherical_profile(P0, w, r, [0.0])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from mvop.family import f_wr, h_from_f, reexpand_in_t
+from mvop.family import _t_recursion_table, f_wr, h_from_f, reexpand_in_t
 from mvop.linalg import VectorPoly
-from mvop.operators import (_conjugation_residuals, apply_D_t, apply_D_u, apply_E_t,
-                            apply_E_u, conjugation_residual, hypergeometric_action)
+from mvop.operators import (_conjugation_residuals, _second_order, _tilde_t, apply_D_t,
+                            apply_D_u, apply_E_t, apply_E_u, conjugation_residual,
+                            hypergeometric_action)
 from mvop.params import Params
 from mvop.structure import build_structure
 
@@ -44,6 +45,52 @@ def test_hypergeometric_action_matches_sampled_derivatives():
                   + (C - x * U) @ dF.evaluate_at(x)
                   - V @ F.evaluate_at(x))
         assert np.allclose(out.evaluate_at(x), direct, rtol=1e-12, atol=1e-12)
+
+
+# A Jacobi set, so that m - k and n are both nonzero and non-integer.
+PJ = Params.jacobi(alpha=2.5, beta=1.5, k=1, ell=2)
+ST = build_structure(PJ)
+MK = PJ.m_eff - PJ.k
+LAM = 2.5
+EYE = np.eye(3)
+
+# Each operator's coefficient transform, and the operator itself written out on
+# F(x), F'(x), F''(x) at a point x.
+OPERATORS = {
+    "D_u": (
+        lambda c: apply_D_u(ST, VectorPoly(c)).coeffs,
+        lambda x, f, df, ddf: (x * (1 - x) * ddf + (ST.U - ST.C - x * ST.U) @ df - ST.V @ f)),
+    "E_u": (
+        lambda c: apply_E_u(ST, VectorPoly(c)).coeffs,
+        lambda x, f, df, ddf: ((1 - x) * (ST.M0 - ST.M1 + x * ST.M1) @ ddf
+                               + (ST.P1 - ST.P0 - x * ST.P1) @ df - MK * ST.V @ f)),
+    "tilde_D": (
+        lambda c: _tilde_t(ST, "D", c),
+        lambda x, f, df, ddf: x * (1 - x) * ddf + (ST.C - x * ST.U) @ df - ST.V @ f),
+    "tilde_E": (
+        lambda c: _tilde_t(ST, "E", c),
+        lambda x, f, df, ddf: (x * (ST.M0 - x * ST.M1) @ ddf + (ST.P0 - x * ST.P1) @ df
+                               - MK * ST.V @ f)),
+    # -(1-t)(D_t + lam)H, the operator whose t-power rows are the recursion.
+    "t_recursion": (
+        lambda c: _second_order(c, _t_recursion_table(ST, LAM)),
+        lambda x, f, df, ddf: ((1 - x) * (x * (1 - x) * ddf
+                                          + (ST.A0 - x * (ST.A0 + PJ.n_eff * EYE)) @ df)
+                               + (ST.B0 + x * ST.B1) @ f - LAM * (1 - x) * f)),
+}
+
+
+@pytest.mark.parametrize("name", OPERATORS)
+def test_operator_table_matches_sampled_derivatives(name):
+    """Each table's coefficient transform against the operator evaluated at three points."""
+    transform, direct = OPERATORS[name]
+    F = VectorPoly(np.random.default_rng(9).uniform(-1, 1, (5, 3)))
+    out = VectorPoly(transform(F.coeffs))
+    dF = F.derivative()
+    ddF = dF.derivative()
+    for x in (0.13, 0.5, 0.92):
+        want = direct(x, F.evaluate_at(x), dF.evaluate_at(x), ddF.evaluate_at(x))
+        assert np.allclose(out.evaluate_at(x), want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("params", GRID)

@@ -99,13 +99,6 @@ def test_inner_vec_diagonal_positive_and_orthogonal():
     assert abs(inner_vec(wspec, f00, f10)) <= 1e-12 * math.sqrt(n00 * n10)
 
 
-def test_inner_vec_oversample_consistent():
-    wspec = WeightSpec(P0)
-    f11 = f_wr(P0, 1, 1).poly
-    base = inner_vec(wspec, f11, f11)
-    assert inner_vec(wspec, f11, f11, oversample=3) == pytest.approx(base, rel=1e-13)
-
-
 def test_inner_mat_block_symmetry():
     from mvop.family import assemble_P
     wspec = WeightSpec(P0)
@@ -147,6 +140,11 @@ def test_jacobi_twin_matches_integer_inner_products():
         a = inner_vec(wi, fi, fi)
         b = inner_vec(wj, fj, fj)
         assert b == pytest.approx(a, rel=1e-12)
+
+
+def test_gram_rejects_negative_wmax():
+    with pytest.raises(ParamError, match="wmax >= 0 violated"):
+        gram(WeightSpec(P0), -1)
 
 
 def test_gram_rejects_negative_m():

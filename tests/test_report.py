@@ -4,14 +4,17 @@ f_wr is counted wherever an mvop module binds it, so a caller that imports the
 name and calls it directly is counted too.
 """
 
+import importlib
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
 from mvop import cli, family
 from mvop.orthogonality import WeightSpec, gram
-from mvop.params import Params
-from mvop.report import run_suite
+from mvop.params import ParamError, Params
+from mvop.report import _check, run_suite
 
 P = Params.integer(n=3, k=1, ell=2, m=1)
 
@@ -50,3 +53,28 @@ def test_recursion_command_builds_each_label_once(f_wr_calls, tmp_path):
     assert rc == 0
     # wmax + 1 for the three-term residual's P_{w+1}.
     assert sorted(f_wr_calls) == [(w, r) for w in range(6) for r in range(3)]
+
+
+def test_run_suite_rejects_negative_wmax():
+    with pytest.raises(ParamError, match="wmax >= 0 violated"):
+        run_suite(P, "eigen", -1)
+
+
+def test_perfbench_tracer_targets_resolve():
+    """Every (module, function) the benchmark's tracer wraps still exists, so a
+    deleted or renamed target fails here instead of breaking the traced run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod, func in tracer.TARGETS:
+        owner = importlib.import_module(f"mvop.{mod}")
+        if (mod, func) == ("linalg", "evaluate_at"):
+            owner = owner._PolyBase  # the tracer wraps the polynomials' shared base class
+        assert callable(getattr(owner, func, None)), f"{mod}.{func} does not resolve"
+
+
+def test_non_finite_residual_is_recorded_as_an_error():
+    result = _check("x/nan", 1.0, lambda: float("nan"))
+    assert result.status == "fail" and result.max_residual == float("inf")
+    assert result.error == "ValueError: non-finite residual nan"
