@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .family import _Family, assemble_P, f_wr
+from .family import _Family, f_wr
 from .orthogonality import WeightSpec, gram
 from .params import ParamError, Params, validate
 from .recurrence import _blocks_upto, _three_term, walk
 from .report import SUITES, run_grid, run_suite
-from .structure import build_structure
 
 __all__ = ["main", "dumps17"]
 
@@ -68,20 +67,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--w", type=int)
     common.add_argument("--r", type=int)
     common.add_argument("--wmax", type=int, default=4)
-    common.add_argument("--format", dest="fmt", choices=("json", "csv"))
     common.add_argument("--out", type=str)
 
     parser = argparse.ArgumentParser(prog="mvop")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    sub.add_parser("eigen", parents=[common])
-    sub.add_parser("family", parents=[common])
-    sub.add_parser("gram", parents=[common])
-    sub.add_parser("recursion", parents=[common])
-    walk_p = sub.add_parser("walk", parents=[common])
-    walk_p.add_argument("--steps", type=int, default=1000)
-    walk_p.add_argument("--seed", type=int, default=0)
-    verify_p = sub.add_parser("verify", parents=[common])
-    verify_p.add_argument("--suite", choices=SUITES, default="all")
+    # The formats each subcommand writes; the first is its default.
+    for cmd, formats in (("eigen", ["json"]), ("family", ["json"]), ("gram", ["csv", "json"]),
+                         ("recursion", ["json"]), ("walk", ["csv", "json"]),
+                         ("verify", ["text", "json"])):
+        sub.add_parser(cmd, parents=[common]).add_argument(
+            "--format", dest="fmt", choices=formats, default=formats[0])
+    sub.choices["walk"].add_argument("--steps", type=int, default=1000)
+    sub.choices["walk"].add_argument("--seed", type=int, default=0)
+    sub.choices["verify"].add_argument("--suite", choices=SUITES, default="all")
     return parser
 
 
@@ -121,9 +119,8 @@ def cmd_eigen(args):
 
 def cmd_family(args):
     params = _build_params(args)
-    st = build_structure(params)
-    fam = [{"w": w, "coeffs": assemble_P(params, w, st).P.coeffs}
-           for w in range(args.wmax + 1)]
+    P = _Family(params).P
+    fam = [{"w": w, "coeffs": P(w).P.coeffs} for w in range(args.wmax + 1)]
     payload = {"params": params.describe(), "wmax": args.wmax, "family": fam}
     return dumps17(payload), 0
 
@@ -132,7 +129,7 @@ def cmd_gram(args):
     params = _build_params(args)
     gres = gram(WeightSpec(params), args.wmax)
     names = [f"w{w}r{r}" for (w, r) in gres.labels]
-    if (args.fmt or "csv") == "json":
+    if args.fmt == "json":
         payload = {
             "params": params.describe(),
             "labels": [list(lab) for lab in gres.labels],
@@ -148,9 +145,11 @@ def cmd_gram(args):
 
 def cmd_recursion(args):
     params = _build_params(args)
+    blks = _blocks_upto(params, args.wmax)
     fam = _Family(params)
+    fam.members(args.wmax + 1)  # P_0..P_{wmax+1} from one series
     out = []
-    for blk in _blocks_upto(params, args.wmax):
+    for blk in blks:
         row_err = float(np.abs((blk.A + blk.B + blk.C).sum(axis=1) - 1.0).max())
         out.append({
             "w": blk.w,
@@ -166,7 +165,7 @@ def cmd_walk(args):
     params = _build_params(args)
     start = (args.w or 0, args.r or 0)
     path = walk(params, args.steps, args.seed, start)
-    if (args.fmt or "csv") == "json":
+    if args.fmt == "json":
         payload = {"params": params.describe(), "steps": args.steps,
                    "seed": args.seed, "trajectory": [list(state) for state in path]}
         return dumps17(payload), 0
@@ -181,7 +180,7 @@ def cmd_verify(args):
     else:
         reports = [run_suite(params, args.suite, args.wmax)]
     rc = 0 if all(rep.ok for rep in reports) else 3
-    if (args.fmt or "text") == "json":
+    if args.fmt == "json":
         payload = [{"params": rep.params,
                     "checks": [{"name": c.name, "status": c.status,
                                 "max_residual": None if c.error else c.max_residual,

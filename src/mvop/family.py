@@ -53,51 +53,62 @@ class PolynomialPackage:
 
 
 def f_wr(params: Params, w: int, r: int, structure: StructureSet | None = None) -> EigenFunction:
-    """Eigenfunction F_{w,r}: the terminating series applied to the eigenvector at 0.
-
-    The series must terminate at degree exactly w, with leading coefficient of
-    the shape (x_0..x_r, 0..0), x_r nonzero; violations raise rather than
-    returning a defective family member.
-    """
-    if not in_S(params, w, r):
-        raise ParamError(f"label (w={w}, r={r}) outside the admissible set S")
-    st = structure if structure is not None else build_structure(params)
-    lam = lambda_eig(params, w, r)
-    mu = mu_eig(params, w, r)
-    v0 = eigvec(st, lam, r)
-    dim = st.dim
-    coeffs = h1_coeffs(st.U - st.C, st.U, st.V + float(lam) * np.eye(dim),
-                       w + _TERMINATION_MARGIN)
-    poly = h1_apply(coeffs, v0, must_terminate=True)
-    if poly.degree != w:
-        raise RuntimeError(f"series terminated at degree {poly.degree}, expected w={w}")
-    lead = poly.coeffs[-1]
-    scale = poly.max_abs
-    if abs(lead[r]) <= _LEADING_TOL * scale:
-        raise RuntimeError(f"leading coefficient entry {r} vanished for label ({w},{r})")
-    if r + 1 <= st.ell and np.abs(lead[r + 1:]).max() > _LEADING_TOL * scale:
-        raise RuntimeError(f"leading coefficient extends past position r={r} for label ({w},{r})")
-    return EigenFunction(w=w, r=r, spectral=SpectralPair(w, r, lam, mu), poly=poly)
+    """Eigenfunction F_{w,r}: the terminating series applied to the eigenvector at 0."""
+    return _build(structure if structure is not None else build_structure(params), [(w, r)])[0]
 
 
 def assemble_P(params: Params, w: int, structure: StructureSet | None = None) -> PolynomialPackage:
     """Stack the row vectors F_{w,r}^t, r = 0..ell, into one matrix polynomial."""
-    st = structure if structure is not None else build_structure(params)
-    return _stack_P(w, [f_wr(params, w, r, st) for r in range(st.dim)])
+    return _Family(params, structure).P(w)
+
+
+def _build(st: StructureSet, labels: list) -> list:
+    """F_{w,r} for each label, in order, from one series over the whole stack.
+
+    Each F_{w,r} must terminate at degree exactly w with leading coefficient
+    (x_0..x_r, 0..0), x_r nonzero, or the build raises: the error of the first
+    failing label, so an eigvec error waits for the earlier labels' checks.
+    """
+    params = st.params
+    pairs, held = [], None
+    for w, r in labels:
+        try:
+            if not in_S(params, w, r):
+                raise ParamError(f"label (w={w}, r={r}) outside the admissible set S")
+            lam = lambda_eig(params, w, r)
+            pairs.append((SpectralPair(w, r, lam, mu_eig(params, w, r)), eigvec(st, lam, r)))
+        except Exception as exc:  # raised below, after the earlier labels' checks
+            held = exc
+            break
+    out = []
+    if pairs:
+        series = h1_coeffs(st.U - st.C, st.U, st.V, [sp.lam for sp, _ in pairs],
+                           [v0 for _, v0 in pairs], max(sp.w for sp, _ in pairs) + _TERMINATION_MARGIN)
+    for i, (sp, _) in enumerate(pairs):
+        w, r = sp.w, sp.r
+        poly = h1_apply(series[: w + _TERMINATION_MARGIN + 1, i])
+        if poly.degree != w:
+            raise RuntimeError(f"series terminated at degree {poly.degree}, expected w={w}")
+        lead, scale = poly.coeffs[-1], poly.max_abs
+        if abs(lead[r]) <= _LEADING_TOL * scale:
+            raise RuntimeError(f"leading coefficient entry {r} vanished for label ({w},{r})")
+        if r + 1 <= st.ell and np.abs(lead[r + 1:]).max() > _LEADING_TOL * scale:
+            raise RuntimeError(f"leading coefficient extends past position r={r} for label ({w},{r})")
+        out.append(EigenFunction(w=w, r=r, spectral=sp, poly=poly))
+    if held is not None:
+        raise held
+    return out
 
 
 def _stack_P(w: int, rows: list) -> PolynomialPackage:
-    """P_w from its rows F_{w,0}..F_{w,ell}; checks the leading coefficient's shape."""
-    dim = len(rows)
-    coeffs = np.zeros((w + 1, dim, dim))
-    for r, ef in enumerate(rows):
-        coeffs[: ef.poly.degree + 1, r, :] = ef.poly.coeffs
-    lead = coeffs[-1]
-    scale = float(np.abs(coeffs).max())
-    upper = np.triu(lead, 1)
-    if np.abs(upper).max() > _LEADING_TOL * scale:
-        raise RuntimeError(f"leading coefficient of P_{w} is not lower triangular")
-    if (np.abs(np.diag(lead)) <= _LEADING_TOL * scale).any():
+    """P_w from its rows F_{w,0}..F_{w,ell}.
+
+    _build has checked that row r has degree w and a leading coefficient that
+    ends at entry r, so the leading coefficient is lower triangular; its
+    diagonal is checked again against the scale of the whole package.
+    """
+    coeffs = np.stack([ef.poly.coeffs for ef in rows], axis=1)
+    if (np.abs(np.diag(coeffs[-1])) <= _LEADING_TOL * float(np.abs(coeffs).max())).any():
         raise RuntimeError(f"leading coefficient of P_{w} is singular on the diagonal")
     return PolynomialPackage(w=w, P=MatrixPoly(coeffs))
 
@@ -105,14 +116,16 @@ def _stack_P(w: int, rows: list) -> PolynomialPackage:
 class _Family:
     """One parameter set's structure, F_{w,r} and P_w, each built on first use.
 
-    P_w is stacked from the same F_{w,r} the labels return. A build that raises
-    is not kept, so every use of a bad label raises again. The memo lives as
-    long as the object: one gram or run_suite call.
+    The memo is keyed by "st", ("P", w) and each built label (w, r). members
+    and P build every label they lack in one _build call; P_w is stacked from
+    the same F_{w,r}. A build that raises is not kept, so every use of a bad
+    label raises again. The memo lives as long as the object: one gram or
+    run_suite call.
     """
 
-    def __init__(self, params: Params):
+    def __init__(self, params: Params, structure: StructureSet | None = None):
         self.params = params
-        self._memo: dict = {}
+        self._memo: dict = {} if structure is None else {"st": structure}
 
     def _get(self, key, build):
         if key not in self._memo:
@@ -123,16 +136,18 @@ class _Family:
     def st(self) -> StructureSet:
         return self._get("st", lambda: build_structure(self.params))
 
-    def f(self, w: int, r: int) -> EigenFunction:
-        return self._get(("f", w, r), lambda: f_wr(self.params, w, r, self.st))
-
-    def P(self, w: int) -> PolynomialPackage:
-        return self._get(("P", w), lambda: _stack_P(w, [self.f(w, r) for r in range(self.st.dim)]))
+    def _labels(self, labels: list) -> list:
+        todo = [lab for lab in labels if lab not in self._memo]
+        self._memo.update(zip(todo, _build(self.st, todo)))
+        return [self._memo[lab] for lab in labels]
 
     def members(self, wmax: int) -> list:
         """F_{w,r} for every label (w, r) in S with w <= wmax, by w then r."""
-        return [self.f(w, r) for w in range(wmax + 1) for r in range(self.params.ell + 1)
-                if in_S(self.params, w, r)]
+        return self._labels([(w, r) for w in range(wmax + 1) for r in range(self.params.ell + 1)
+                             if in_S(self.params, w, r)])
+
+    def P(self, w: int) -> PolynomialPackage:
+        return self._get(("P", w), lambda: _stack_P(w, self._labels([(w, r) for r in range(self.st.dim)])))
 
 
 def h_from_f(params: Params, F: VectorPoly) -> VectorPoly:
@@ -159,9 +174,7 @@ def spherical_profile(params: Params, w: int, r: int, theta_grid) -> np.ndarray:
     out = np.zeros((len(theta), ell + 1))
     for i, th in enumerate(theta):
         t = math.cos(th) ** 2
-        h = H.evaluate_at(1.0 - t)
-        for s in range(ell + 1):
-            out[i, s] = t ** ((m + ell - s) / 2.0) * h[s]
+        out[i] = t ** ((m + ell - np.arange(ell + 1)) / 2.0) * H.evaluate_at(1.0 - t)
     return out
 
 
@@ -200,9 +213,5 @@ def vanishing_orders(params: Params, F: VectorPoly) -> list[int]:
         raise ParamError("not applicable: vanishing orders require integer m < 0")
     G = reexpand_in_t(h_from_f(params, F))
     scale = max(G.max_abs, 1e-300)
-    orders = []
-    for s in range(G.dim):
-        col = np.abs(G.coeffs[:, s])
-        nz = np.nonzero(col > 1e-10 * scale)[0]
-        orders.append(int(nz[0]) if len(nz) else G.degree + 1)
-    return orders
+    nonzero = np.abs(G.coeffs) > 1e-10 * scale
+    return [int(np.argmax(col)) if col.any() else G.degree + 1 for col in nonzero.T]

@@ -1,7 +1,7 @@
-"""Matrix hypergeometric series.
+"""Terminating hypergeometric series, one vector series per label stack.
 
-The second-order-native series whose step matrix is m^2 + m(U-1) + V. Each
-step divides by (C+m), so the spectrum of C must stay away from the
+The second-order-native series whose step matrix is m^2 + m(U-1) + V + lam.
+Each step divides by (C+m), so the spectrum of C must stay away from the
 nonpositive integers.
 """
 
@@ -20,57 +20,46 @@ class SeriesTerminationError(RuntimeError):
 
 def _check_c_spectrum(C: np.ndarray, tol: float = 1e-8) -> None:
     """Raise when an eigenvalue of C lies within tol of a nonpositive integer."""
-    gap = np.inf
-    for z in np.linalg.eigvals(C):
-        j0 = max(0, int(round(-z.real)))
-        for j in (j0 - 1, j0, j0 + 1):
-            if j >= 0:
-                gap = min(gap, abs(z + j))
+    z = np.linalg.eigvals(C)[:, None]
+    j = np.maximum(np.round(-z.real) + [-1, 0, 1], 0)
+    gap = float(np.abs(z + j).min())
     if gap <= tol:
-        raise ValueError(
-            f"C-spectrum hits -N0: distance {gap:.3e} <= {tol:g}, series coefficients undefined"
-        )
+        raise ValueError(f"C-spectrum hits -N0: distance {gap:.3e} <= {tol:g}, "
+                         "series coefficients undefined")
 
 
-def h1_coeffs(C, U, V, N: int) -> np.ndarray:
-    """Terms [C;U;V]_m / m!, m = 0..N, of the series solving x(1-x)F''+(C-xU)F'-VF=0.
+def h1_coeffs(C, U, V, lam, v0, N: int) -> np.ndarray:
+    """Terms c_m, m = 0..N, of the series F = sum u^m c_m solving
+    x(1-x)F''+(C-xU)F'-(V+lam)F=0 with F(0) = v0, for each pair (lam, v0).
 
-    Step: [C;U;V]_{m+1} = (C+m)^{-1} (m^2 + m(U-1) + V) [C;U;V]_m.
+    Step: c_{m+1} = (C+m)^{-1} ((m^2 + m(U-1) + V) c_m + lam c_m) / (m+1). A
+    label enters only through the scalar lam, so one solve per degree serves
+    the whole stack. Returns shape (N+1, len(lam), dim).
     """
-    C = np.asarray(C, dtype=float)
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
+    C, U, V = (np.asarray(X, dtype=float) for X in (C, U, V))
+    lam = np.asarray(lam, dtype=float)[:, None]
     _check_c_spectrum(C)
-    dim = C.shape[0]
-    eye = np.eye(dim)
-    terms = np.empty((N + 1, dim, dim))
-    terms[0] = eye
-    T = eye
+    eye = np.eye(C.shape[0])
+    terms = np.empty((N + 1, len(lam), C.shape[0]))
+    terms[0] = v0
     for m in range(N):
-        step = (m * m) * eye + m * (U - eye) + V
-        T = np.linalg.solve(C + m * eye, step @ T) / (m + 1)
-        terms[m + 1] = T
+        step = terms[m] @ ((m * m) * eye + m * (U - eye) + V).T + lam * terms[m]
+        terms[m + 1] = np.linalg.solve(C + m * eye, step.T).T / (m + 1)
     return terms
 
 
-def h1_apply(coeffs: np.ndarray, v0, N: int | None = None, must_terminate: bool = False) -> VectorPoly:
-    """Polynomial sum_{m<=N} u^m (coeffs[m] v0), trimmed; coeffs comes from h1_coeffs.
+def h1_apply(coeffs: np.ndarray) -> VectorPoly:
+    """Polynomial sum_m u^m coeffs[m] of one label's terms from h1_coeffs, trimmed.
 
-    With must_terminate=True the last two retained coefficient vectors must fall
-    below the trimming tolerance (the series has visibly stopped); otherwise a
-    SeriesTerminationError is raised.
+    The last two terms must fall below the trimming tolerance (the series has
+    visibly stopped); otherwise a SeriesTerminationError is raised.
     """
-    if N is not None:
-        coeffs = coeffs[: N + 1]
-    v0 = np.asarray(v0, dtype=float)
-    vals = coeffs @ v0
-    if must_terminate:
-        if len(vals) < 2:
-            raise SeriesTerminationError("need at least two terms to observe termination")
-        scale = max(float(np.abs(vals).max()), 1.0)
-        tail = np.abs(vals[-2:]).max(axis=1)
-        if (tail > TRIM_REL_TOL * scale).any():
-            raise SeriesTerminationError(
-                f"series did not terminate by N={len(vals) - 1}: tail magnitudes {tail}"
-            )
+    vals = np.asarray(coeffs, dtype=float)
+    if len(vals) < 2:
+        raise SeriesTerminationError("need at least two terms to observe termination")
+    scale = max(float(np.abs(vals).max()), 1.0)
+    tail = np.abs(vals[-2:]).max(axis=1)
+    if (tail > TRIM_REL_TOL * scale).any():
+        raise SeriesTerminationError(f"series did not terminate by N={len(vals) - 1}: "
+                                     f"tail magnitudes {tail}")
     return VectorPoly(vals).trim()

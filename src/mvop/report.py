@@ -80,7 +80,7 @@ def _eigen_checks(fam: _Family, wmax: int) -> list:
         return worst
 
     def degree_leading():
-        # f_wr already hard-checks termination and the leading-entry shape;
+        # The family build already hard-checks termination and the leading-entry shape;
         # report the worst above-diagonal leakage in the leading coefficient.
         worst = 0.0
         for ef in fam.members(wmax):
@@ -179,7 +179,9 @@ def _recursion_checks(fam: _Family, wmax: int) -> list:
         return max(0.0, -low)
 
     def three_term():
-        return max(_three_term(blk, fam.P) for blk in blks())
+        rows = blks()
+        fam.members(wmax + 1)  # P_0..P_{wmax+1} from one series
+        return max(_three_term(blk, fam.P) for blk in rows)
 
     def t_power():
         return max(t_recursion_residual(params, ef.poly, ef.spectral.lam, fam.st)

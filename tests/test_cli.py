@@ -72,6 +72,18 @@ def test_unknown_suite_choice_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["eigen", *P0_ARGS, "--w", "0", "--r", "0"],
+    ["family", *P0_ARGS],
+    ["recursion", *P0_ARGS],
+    ["verify", *P0_ARGS],
+])
+def test_format_a_subcommand_does_not_write_exit_code(argv, capsys):
+    rc, out, err = run_cli([*argv, "--format", "csv"], capsys)
+    assert rc == 2 and out == ""
+    assert "invalid choice: 'csv'" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["eigen", *P0_ARGS, "--w", "2", "--r", "1"],
     ["gram", *P0_ARGS, "--wmax", "2", "--format", "json"],
     ["verify", *P0_ARGS, "--suite", "eigen", "--format", "json"],

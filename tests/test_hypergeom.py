@@ -17,9 +17,9 @@ def pochhammer(a, m):
 
 
 def f1_terms(a, b, c, N):
-    """Terms of Gauss's scalar 2F1(a, b; c) from h1_coeffs: with U = a+b+1 and
-    V = ab the step m^2 + m(U-1) + V factors as (a+m)(b+m)."""
-    return h1_coeffs([[c]], [[a + b + 1.0]], [[a * b]], N)
+    """Terms of Gauss's scalar 2F1(a, b; c) from h1_coeffs: with U = a+b+1,
+    V = ab and lam = 0 the step m^2 + m(U-1) + V factors as (a+m)(b+m)."""
+    return h1_coeffs([[c]], [[a + b + 1.0]], [[a * b]], [0.0], [[1.0]], N)
 
 
 @pytest.mark.parametrize("a,b,c", [(0.5, 2.0, 1.5), (-3.0, 1.0, 2.0), (2.5, -1.5, 4.0)])
@@ -39,34 +39,24 @@ def test_f1_terminates_for_negative_integer_numerator():
 
 def test_c_spectrum_guard():
     with pytest.raises(ValueError, match="C-spectrum"):
-        h1_coeffs(np.diag([1e-12, 2.0]), np.eye(2), np.eye(2), 4)
+        h1_coeffs(np.diag([1e-12, 2.0]), np.eye(2), np.eye(2), [0.0], [[1.0, 0.0]], 4)
     with pytest.raises(ValueError, match="C-spectrum"):
-        h1_coeffs([[-2.0]], [[1.0]], [[1.0]], 4)
+        h1_coeffs([[-2.0]], [[1.0]], [[1.0]], [0.0], [[1.0]], 4)
 
 
 def test_h1_termination_at_eigenvalue():
     p = Params.integer(n=2, k=1, ell=1, m=0)
     st = build_structure(p)
     lam = lambda_eig(p, 2, 0)
-    series = h1_coeffs(st.U - st.C, st.U, st.V + lam * np.eye(2), 12)
-    v0 = eigvec(st, lam, 0)
-    F = h1_apply(series, v0, must_terminate=True)
+    series = h1_coeffs(st.U - st.C, st.U, st.V, [lam], [eigvec(st, lam, 0)], 12)
+    F = h1_apply(series[:, 0])
     assert F.degree == 2
 
 
 def test_h1_no_termination_off_spectrum():
     p = Params.integer(n=2, k=1, ell=1, m=0)
     st = build_structure(p)
-    series = h1_coeffs(st.U - st.C, st.U, st.V - 3.7 * np.eye(2), 12)
+    series = h1_coeffs(st.U - st.C, st.U, st.V, [-3.7], [[1.0, 0.0]], 12)
     with pytest.raises(SeriesTerminationError, match="did not terminate"):
-        h1_apply(series, [1.0, 0.0], must_terminate=True)
+        h1_apply(series[:, 0])
 
-
-def test_h1_apply_truncation_argument():
-    p = Params.integer(n=2, k=1, ell=1, m=0)
-    st = build_structure(p)
-    series = h1_coeffs(st.U - st.C, st.U, st.V, 10)
-    full = h1_apply(series, [0.0, 1.0])
-    cut = h1_apply(series, [0.0, 1.0], N=2)
-    assert cut.degree <= 2
-    assert np.allclose(cut.coeffs, full.coeffs[: cut.degree + 1], rtol=0, atol=1e-15)

@@ -1,7 +1,9 @@
-"""One verify op, gram or recursion dump builds each eigenfunction F_{w,r} once.
+"""One verify op, gram or recursion dump builds each eigenfunction F_{w,r} once,
+in a few stacked series.
 
-f_wr is counted wherever an mvop module binds it, so a caller that imports the
-name and calls it directly is counted too.
+family._build is the only place F_{w,r} is built, so the labels handed to it
+are the labels built. h1_coeffs is counted wherever an mvop module binds it, so
+a caller that imports the name and runs a series directly is counted too.
 """
 
 import importlib
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from mvop import cli, family
+from mvop import cli, family, hypergeom
 from mvop.orthogonality import WeightSpec, gram
 from mvop.params import ParamError, Params
 from mvop.report import _check, run_suite
@@ -20,39 +22,72 @@ P = Params.integer(n=3, k=1, ell=2, m=1)
 
 
 @pytest.fixture
-def f_wr_calls(monkeypatch):
-    calls = []
-    orig = family.f_wr
+def built_labels(monkeypatch):
+    labels = []
+    orig = family._build
 
-    def counting(params, w, r, structure=None):
-        calls.append((w, r))
-        return orig(params, w, r, structure)
+    def counting(st, labs):
+        labels.extend(labs)
+        return orig(st, labs)
+
+    monkeypatch.setattr(family, "_build", counting)
+    return labels
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    calls = []
+    orig = hypergeom.h1_coeffs
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
 
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "mvop" and vars(mod).get("f_wr") is orig:
-            monkeypatch.setattr(mod, "f_wr", counting)
+        if name.split(".")[0] == "mvop" and vars(mod).get("h1_coeffs") is orig:
+            monkeypatch.setattr(mod, "h1_coeffs", counting)
     return calls
 
 
-def test_run_suite_builds_each_label_once(f_wr_calls):
+def test_run_suite_builds_each_label_once(built_labels):
     report = run_suite(P, "all", 4)
     assert report.ok
     # wmax + 1 for the three-term check's P_{w+1}.
-    assert sorted(f_wr_calls) == [(w, r) for w in range(6) for r in range(3)]
+    assert sorted(built_labels) == [(w, r) for w in range(6) for r in range(3)]
 
 
-def test_gram_builds_each_label_once(f_wr_calls):
+def test_gram_builds_each_label_once(built_labels):
     gram(WeightSpec(P), 8)
-    assert sorted(f_wr_calls) == [(w, r) for w in range(9) for r in range(3)]
+    assert sorted(built_labels) == [(w, r) for w in range(9) for r in range(3)]
 
 
-def test_recursion_command_builds_each_label_once(f_wr_calls, tmp_path):
+def test_family_runs_one_series_per_label_stack(series_calls):
+    """The eigen checks build w <= 4 in one series and the three-term check adds
+    w = 5 in a second; gram builds all of w <= 8 in one."""
+    run_suite(P, "all", 4)
+    assert len(series_calls) == 2
+    assert [len(args[3]) for args in series_calls] == [15, 3]
+    series_calls.clear()
+    gram(WeightSpec(P), 8)
+    assert len(series_calls) == 1 and len(series_calls[0][3]) == 27
+
+
+def test_first_failing_label_names_the_error():
+    """At (2,1,16,0) label (0,7) fails its termination check before a later
+    label's eigvec fails; the earlier label's error is the one reported."""
+    report = run_suite(Params.integer(n=2, k=1, ell=16, m=0), "eigen", 4)
+    check = next(c for c in report.checks if c.name == "eigen/operator_residuals")
+    assert check.status == "fail"
+    assert check.error.startswith("SeriesTerminationError: series did not terminate by N=10")
+
+
+def test_recursion_command_builds_each_label_once(built_labels, tmp_path):
     out = tmp_path / "rec.json"
     rc = cli.main(["recursion", "--n", "3", "--k", "1", "--ell", "2", "--m", "1",
                    "--wmax", "4", "--out", str(out)])
     assert rc == 0
     # wmax + 1 for the three-term residual's P_{w+1}.
-    assert sorted(f_wr_calls) == [(w, r) for w in range(6) for r in range(3)]
+    assert sorted(built_labels) == [(w, r) for w in range(6) for r in range(3)]
 
 
 def test_run_suite_rejects_negative_wmax():
