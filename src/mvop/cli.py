@@ -118,10 +118,10 @@ def cmd_eigen(args):
 
 
 def cmd_family(args):
-    params = _build_params(args)
-    P = _Family(params).P
-    fam = [{"w": w, "coeffs": P(w).P.coeffs} for w in range(args.wmax + 1)]
-    payload = {"params": params.describe(), "wmax": args.wmax, "family": fam}
+    family = _Family(_build_params(args))
+    family._labels([(w, r) for w in range(args.wmax + 1) for r in range(family.params.ell + 1)])
+    fam = [{"w": w, "coeffs": family.P(w).P.coeffs} for w in range(args.wmax + 1)]
+    payload = {"params": family.params.describe(), "wmax": args.wmax, "family": fam}
     return dumps17(payload), 0
 
 

@@ -7,7 +7,7 @@ Every inner product is taken in the frame where the weight is diagonal:
 r, in both modes. Integer mode folds V_rr = 2n c_r u^(n-1) (1-u)^(m+ell-r)
 into the weights of a Gauss-Legendre rule exact for the polynomial integrand;
 Jacobi mode, whose exponents are real, absorbs u^beta (1-u)^(alpha+ell-r) into
-a Gauss-Jacobi rule. weight_W_at builds W itself, for the consistency check."""
+a Gauss-Jacobi rule (Golub-Welsch). weight_W_at builds W itself, for the consistency check."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .family import _Family, f_wr  # noqa: F401 (f_wr: perfbench's tests look it up here)
 from .linalg import MatrixPoly, VectorPoly
@@ -114,10 +113,38 @@ def _gl_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
 
 # Keys carry real exponents (a new pair per Jacobi parameter set), so the cache is bounded.
 @lru_cache(maxsize=256)
-def _gj_rule(npts: int, a_exp: float, b_exp: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights on [0,1] with the weight u^b_exp (1-u)^a_exp folded in."""
-    x, w = roots_jacobi(npts, a_exp, b_exp)
-    return (x + 1.0) / 2.0, w * 0.5 ** (a_exp + b_exp + 1.0)
+def _gj_rule(npts: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights on [0,1] with the weight u^b (1-u)^a folded in, for npts >= 1 and a, b > -1.
+
+    Golub-Welsch: the eigenvalues of the Jacobi matrix of P^(a,b) on [-1,1], one Newton step on
+    P_npts by its three-term recurrence, and the Christoffel weights 1/((1-x^2) P_npts'(x)^2)
+    scaled to the mass B(a+1, b+1); matrix entries that read 0/0 at a + b = 0 or -1 are reduced.
+    """
+    a1, b1 = a + 1.0, b + 1.0  # exact near -1, where they are the small quantities
+    k = np.arange(1, npts)
+    s = 2.0 * k - 2.0 + a1 + b1  # 2k + a + b
+    ratio = np.divide(k * (k - 2.0 + a1 + b1), s - 1.0, out=np.ones(npts - 1), where=k > 1)  # 1 at k = 1
+    jac = np.diag(np.append((b1 - a1) / (a1 + b1), (b1 - a1) * (a + b) / (s * (s + 2.0))))
+    jac[k - 1, k] = 2.0 / s * np.sqrt((k - 1.0 + a1) * (k - 1.0 + b1) / (s + 1.0) * ratio)
+
+    def p_and_dp(x):
+        p0, p1 = np.ones(npts), ((a1 + b1) * x + a1 - b1) / 2.0
+        for j in range(2, npts + 1):
+            c = 2.0 * j - 4.0 + a1 + b1  # 2j + a + b - 2
+            d = 2.0 * j * (j - 2.0 + a1 + b1) * c
+            p0, p1 = p1, ((c + 1.0) * (c + 2.0) * c / d * x + (c + 1.0) * (a1 - b1) * (a + b) / d) * p1 \
+                - (2.0 * (j - 2.0 + a1) * (j - 2.0 + b1) * (c + 2.0) / d) * p0
+        c = 2.0 * npts - 2.0 + a1 + b1
+        dp = npts * (a1 - b1 - c * x) * p1 + 2.0 * (npts - 1.0 + a1) * (npts - 1.0 + b1) * p0
+        return p1, dp / (c * (1.0 - x) * (1.0 + x))
+
+    x = np.linalg.eigvalsh(jac, UPLO="U")
+    x = x - np.divide(*p_and_dp(x))
+    dp = p_and_dp(x)[1]
+    w = 1.0 / ((1.0 - x) * (1.0 + x) * (dp / np.abs(dp).max()) ** 2)
+    mass = (math.gamma(a1) / math.gamma(a1 + b1) * math.gamma(b1) if a + b < 169.0  # Gamma finite
+            else math.exp(math.lgamma(a1) + math.lgamma(b1) - math.lgamma(a1 + b1)))
+    return (x + 1.0) / 2.0, w * (mass / w.sum())
 
 
 def _frame_rule(params: Params, r: int, degree: int):

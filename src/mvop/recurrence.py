@@ -142,8 +142,8 @@ _ABSORB = [_FORM_INDEX[b_dir, a_dir] for _, _, pairs in _ENTRIES for a_dir, b_di
 def _block_rows(params: Params, w0: int, w1: int) -> np.ndarray:
     """Rows [A_w | B_w | C_w] for w0 <= w < w1, as one (w1-w0, ell+1, 3(ell+1)) array.
 
-    Raises ParamError at the first label (w, r) outside S and ValueError at the
-    first w (then block A, B, C) with a negative or non-finite entry.
+    Raises ParamError at the first label (w, r) outside S, then ValueError at the first
+    w (block A, B, C) with a negative or non-finite entry or row (w, r) with |sum - 1| > 1e-12.
     """
     validate(params)
     if w0 < 0:
@@ -176,6 +176,9 @@ def _block_rows(params: Params, w0: int, w1: int) -> np.ndarray:
         i, j = bad[0]
         what = f"negative entry {low[i, j]:g}" if finite[i, j] else "non-finite entry"
         raise ValueError(f"{what} in block {'ABC'[j]} at w={w0 + i}")
+    off = np.abs(rows.sum(axis=2) - 1.0)
+    for i, r in np.argwhere(off > 1e-12)[:1]:  # the first row off by more than row_sums' tolerance
+        raise ValueError(f"row sum off 1 by {off[i, r]:.3g} at w={w0 + i}, r={r}")
     return rows
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
 import mvop
 from mvop.family import f_wr
@@ -249,14 +250,65 @@ def test_gauss_jacobi_cache_is_bounded():
     assert _gj_rule.cache_info().currsize <= 256
 
 
-def test_integer_gram_leaves_scipy_linalg_unloaded():
-    # Gauss-Jacobi rules import scipy.linalg, about 6 MB of resident memory
-    # that Integer mode, on Gauss-Legendre rules, does not need.
+# Gauss-Jacobi draws: npts in 1..30 and exponents in (-1, 12], plus npts = 1,
+# a + b = 0, a + b = -1 (the reduced matrix entries), a = b and a + b >= 169
+# (the mass from lgamma).
+_GJ_RNG = np.random.default_rng(20261020)
+GJ_CASES = [(int(n), float(a), float(b)) for n, a, b in
+            zip(_GJ_RNG.integers(1, 31, 300), 12.0 - 13.0 * _GJ_RNG.random(300), 12.0 - 13.0 * _GJ_RNG.random(300))]
+GJ_CASES += [(1, 0.3, 2.0), (1, -0.6, -0.7), (1, 0.0, 0.0), (5, 0.7, -0.7), (12, -0.4, 0.4), (2, 0.0, 0.0),
+             (7, -0.3, -0.7), (2, -0.9, -0.1), (6, 2.5, 2.5), (9, -0.5, -0.5), (30, 11.0, 11.0), (30, -0.99, -0.99),
+             (5, 150.0, 30.0), (12, 0.5, 180.0)]
+
+
+def test_gauss_jacobi_rule_matches_scipy():
+    """scipy's roots_jacobi as the oracle. It loses accuracy itself when both
+    exponents are near -1 (nodes 3.7e-14 off a 50-digit reference at
+    (21, -0.9973, -0.9968)); the moment test covers that corner."""
+    for npts, a, b in GJ_CASES:
+        u, w = _gj_rule(npts, a, b)
+        x_ref, w_ref = roots_jacobi(npts, a, b)
+        assert np.abs((2.0 * u - 1.0) - x_ref).max() <= 1e-14, (npts, a, b)
+        assert np.abs(w * 2.0 ** (a + b + 1.0) - w_ref).max() <= 1e-10 * w_ref.max(), (npts, a, b)
+
+
+def test_gauss_jacobi_rule_moments_and_mass():
+    """The rule integrates u^j, j < 2 npts, against u^b (1-u)^a exactly: moment
+    ratios prod_{i<j} (b+i+1)/(a+b+i+2), total mass B(a+1, b+1).
+
+    A node next to an end where the weight is singular is only known to an ulp of
+    x in [-1,1]; that moves its weight by eps |a|/(1-x) (or eps |b|/(1+x)),
+    which the moment tolerance adds to 1e-13. The term matters only when a or
+    b is near -1. The mass is checked against exact values at integer a, b.
+    """
+    eps = np.finfo(float).eps
+    for npts, a, b in GJ_CASES:
+        u, w = _gj_rule(npts, a, b)
+        j = np.arange(2 * npts)
+        exact = np.cumprod(np.concatenate([[1.0], (b + j[:-1] + 1.0) / (a + b + j[:-1] + 2.0)]))
+        moments = (w[:, None] * u[:, None] ** j).sum(axis=0) / w.sum()
+        endpoint = eps * max(abs(a) / (2.0 * (1.0 - u.max())), abs(b) / (2.0 * u.min()))
+        assert np.abs(moments - exact).max() <= 1e-13 + endpoint, (npts, a, b)
+    for a in range(13):
+        for b in range(13):
+            mass = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 1)
+            for npts in (1, 2, 9, 30):
+                assert _gj_rule(npts, float(a), float(b))[1].sum() == pytest.approx(mass, rel=1e-14, abs=0)
+
+
+def test_mvop_commands_import_no_scipy():
+    """scipy is a test-only dependency: one process that imports mvop and runs
+    verify in both modes, gram in both modes and walk loads no scipy module."""
     src = str(Path(mvop.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys; from mvop import Params, WeightSpec, gram; "
-            "gram(WeightSpec(Params.integer(3, 1, 2, 1)), 4); "
-            "print('scipy.linalg' in sys.modules)")
+    integer = ["--n", "3", "--k", "1", "--ell", "2", "--m", "1", "--wmax", "2"]
+    jacobi = ["--jacobi", "--alpha", "0.5", "--beta", "1.5", "--k", "1", "--ell", "2", "--wmax", "2"]
+    runs = [["verify", *integer], ["verify", *jacobi], ["gram", *integer], ["gram", *jacobi],
+            ["walk", *integer, "--steps", "500"]]
+    code = ("import contextlib, io, sys\nimport mvop\nfrom mvop import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rcs = [cli.main(argv) for argv in {runs!r}]\n"
+            "print(rcs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0] []"

@@ -5,8 +5,9 @@ import pytest
 from scipy.special import eval_jacobi
 
 from mvop.params import ParamError, Params, in_S
-from mvop import recurrence
+from mvop import cli, recurrence
 from mvop.recurrence import _block_rows, a_sq, b_sq, blocks, three_term_residual, walk
+from mvop.report import run_suite
 
 P0 = Params.integer(n=2, k=1, ell=1, m=0)
 
@@ -126,6 +127,20 @@ def test_block_table_errors_name_the_first_bad_label():
     assert _block_rows(p, 2, 10).shape == (8, 3, 9)
     with pytest.raises(ParamError, match="w >= 0"):
         blocks(P0, -1)
+
+
+def test_a_row_that_is_not_stochastic_raises_naming_it(capsys):
+    # On the plane alpha + beta = k, row (0, 0) resolves a 0/0 factor to 0 and sums to 2/3.
+    p = Params.jacobi(alpha=0.5, beta=0.5, k=1, ell=1)
+    message = "row sum off 1 by 0.333 at w=0, r=0"
+    with pytest.raises(ValueError, match=message):
+        _block_rows(p, 0, 4)
+    with pytest.raises(ValueError, match=message):
+        walk(p, 10, seed=0)
+    assert cli.main(["walk", "--jacobi", "--alpha", "0.5", "--beta", "0.5", "--k", "1", "--ell", "1"]) == 3
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+    row_sums = next(c for c in run_suite(p, "recursion", 2).checks if c.name == "recursion/row_sums")
+    assert row_sums.status == "fail" and row_sums.error == f"ValueError: {message}"
 
 
 # SHA-256 of the 20000-step path from (0, 0), one "w,r" line per state.

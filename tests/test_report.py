@@ -72,6 +72,15 @@ def test_family_runs_one_series_per_label_stack(series_calls):
     assert len(series_calls) == 1 and len(series_calls[0][3]) == 27
 
 
+def test_family_command_runs_one_series(series_calls, capsys):
+    """mvop family builds every label of w <= wmax in one series."""
+    assert cli.main(["family", "--n", "3", "--k", "1", "--ell", "2", "--m", "1", "--wmax", "4"]) == 0
+    assert [len(args[3]) for args in series_calls] == [15]
+    # m < 0: label (0, 0) is the first outside S, and it still names the error.
+    assert cli.main(["family", "--n", "3", "--k", "1", "--ell", "2", "--m", "-1", "--wmax", "4"]) == 2
+    assert capsys.readouterr().err == "error: label (w=0, r=0) outside the admissible set S\n"
+
+
 def test_first_failing_label_names_the_error():
     """At (2,1,16,0) label (0,7) fails its termination check before a later
     label's eigvec fails; the earlier label's error is the one reported."""
