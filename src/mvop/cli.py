@@ -9,6 +9,7 @@ serialize -> parse -> serialize is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 from .family import _Family, f_wr
 from .orthogonality import WeightSpec, gram
 from .params import ParamError, Params, validate
-from .recurrence import _blocks_upto, _three_term, walk
+from .recurrence import _block_rows, _split, _three_term, walk
 from .report import SUITES, run_grid, run_suite
 
 __all__ = ["main", "dumps17"]
@@ -55,6 +56,7 @@ def dumps17(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int)
@@ -145,18 +147,15 @@ def cmd_gram(args):
 
 def cmd_recursion(args):
     params = _build_params(args)
-    blks = _blocks_upto(params, args.wmax)
+    rows = _block_rows(params, 0, args.wmax + 1)
     fam = _Family(params)
     fam.members(args.wmax + 1)  # P_0..P_{wmax+1} from one series
     out = []
-    for blk in blks:
+    for w, resid in enumerate(_three_term(rows, 0, fam.P)):
+        blk = _split(w, rows[w])
         row_err = float(np.abs((blk.A + blk.B + blk.C).sum(axis=1) - 1.0).max())
-        out.append({
-            "w": blk.w,
-            "A": blk.A, "B": blk.B, "C": blk.C,
-            "row_sum_residual": row_err,
-            "three_term_residual": _three_term(blk, fam.P),
-        })
+        out.append({"w": w, "A": blk.A, "B": blk.B, "C": blk.C,
+                    "row_sum_residual": row_err, "three_term_residual": resid})
     payload = {"params": params.describe(), "wmax": args.wmax, "blocks": out}
     return dumps17(payload), 0
 

@@ -188,9 +188,18 @@ def t_recursion_residual(params: Params, F: VectorPoly, lam: float,
     "<= tol x coefficient scale" holds.
     """
     st = structure if structure is not None else build_structure(params)
-    c = reexpand_in_t(h_from_f(params, F)).coeffs
-    rows = _second_order(c, _t_recursion_table(st, float(lam)))
-    return float(np.abs(rows).max()) / max(float(np.abs(c).max()), 1e-300)
+    return float(_t_residuals(st, F.coeffs, lam))
+
+
+def _t_residuals(st: StructureSet, c: np.ndarray, lam) -> np.ndarray:
+    """t_recursion_residual of each F of a stack c (degree+1, labels, dim), or of one F
+    (degree+1, dim), at its lam: one table of -(1-t) D_t for all, then -(1-t) lam H per F."""
+    h = _to_t(_psi(st.X, c))
+    rows = _second_order(h, _t_recursion_table(st, 0.0))
+    lam_h = np.asarray(lam, dtype=float)[..., None] * h
+    rows[:-1] -= lam_h
+    rows[1:] += lam_h
+    return np.abs(rows).max(axis=(0, -1)) / np.maximum(np.abs(h).max(axis=(0, -1)), 1e-300)
 
 
 def _t_recursion_table(st: StructureSet, lam: float) -> list:

@@ -79,12 +79,6 @@ class _PolyBase:
         shape = (-1,) + (1,) * (self._ndim - 1)
         return type(self)(self.coeffs[1:] * powers.reshape(shape))
 
-    def shift_mul_by_u(self):
-        """Multiply by the variable: degree d -> d+1, coefficient 0 becomes zero."""
-        out = np.zeros((self.degree + 2,) + self.coeffs.shape[1:])
-        out[1:] = self.coeffs
-        return type(self)(out)
-
     def evaluate_at(self, u: float):
         """Horner evaluation; returns a vector or matrix matching the coefficients."""
         acc = np.array(self.coeffs[-1])
@@ -113,10 +107,6 @@ class VectorPoly(_PolyBase):
     def constant(cls, vec) -> "VectorPoly":
         return cls(np.asarray(vec, dtype=float)[None, :])
 
-    def left_mul(self, a: np.ndarray) -> "VectorPoly":
-        """Apply a constant matrix to every coefficient: sum_j u^j (a F_j)."""
-        return VectorPoly(self.coeffs @ np.asarray(a, dtype=float).T)
-
 
 class MatrixPoly(_PolyBase):
     """P(u) = sum_j u^j P_j with matrix coefficients P_j."""
@@ -126,7 +116,3 @@ class MatrixPoly(_PolyBase):
     @classmethod
     def zeros(cls, dim: int) -> "MatrixPoly":
         return cls(np.zeros((1, dim, dim)))
-
-    def left_mul(self, a: np.ndarray) -> "MatrixPoly":
-        """Apply a constant matrix on the left of every coefficient."""
-        return MatrixPoly(np.einsum("ab,jbc->jac", np.asarray(a, dtype=float), self.coeffs))

@@ -56,15 +56,22 @@ def _second_order(c: np.ndarray, table) -> np.ndarray:
 
 def apply_D_u(st: StructureSet, F: VectorPoly) -> VectorPoly:
     """First operator in u: u(1-u)F'' + (U-C-uU)F' - VF."""
-    return hypergeometric_action(st.U - st.C, st.U, st.V, F)
+    return VectorPoly(_u_form(st, "D", F.coeffs)).trim()
 
 
 def apply_E_u(st: StructureSet, F: VectorPoly) -> VectorPoly:
     """Second operator in u: (1-u)(M0-M1+uM1)F'' + (P1-P0-uP1)F' - (m-k)VF."""
+    return VectorPoly(_u_form(st, "E", F.coeffs)).trim()
+
+
+def _u_form(st: StructureSet, which: str, c: np.ndarray) -> np.ndarray:
+    """The first (D) or second (E) operator in u on sum_p u^p c[p]; neither raises the degree."""
+    if which == "D":
+        eye = np.eye(st.dim)
+        return _second_order(c, [[-st.V], [st.U - st.C, -st.U], [None, eye, -eye]])
     mk = float(st.params.m_eff) - st.params.k
     M0, M1, P0, P1 = st.M0, st.M1, st.P0, st.P1
-    table = [[-mk * st.V], [P1 - P0, -P1], [M0 - M1, 2 * M1 - M0, -M1]]
-    return VectorPoly(_second_order(F.coeffs, table)).trim()
+    return _second_order(c, [[-mk * st.V], [P1 - P0, -P1], [M0 - M1, 2 * M1 - M0, -M1]])
 
 
 def _div_by_one_minus_t(coeffs: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:

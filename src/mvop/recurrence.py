@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import _Family
-from .linalg import MatrixPoly
 from .params import ParamError, Params, in_S, validate
 
 __all__ = ["RecursionBlocks", "TransitionTally", "a_sq", "b_sq", "blocks",
@@ -205,27 +204,24 @@ def blocks(params: Params, w: int) -> RecursionBlocks:
     return _split(w, _block_rows(params, w, w + 1)[0])
 
 
-def _blocks_upto(params: Params, wmax: int) -> list:
-    """blocks(params, w) for w = 0..wmax, cut from one table."""
-    return [_split(w, row) for w, row in enumerate(_block_rows(params, 0, wmax + 1))]
-
-
 def three_term_residual(params: Params, w: int) -> float:
     """Max coefficient residual of (1-u) P_w - A P_{w-1} - B P_w - C P_{w+1}, relative."""
-    return _three_term(blocks(params, w), _Family(params).P)
+    return float(_three_term(_block_rows(params, w, w + 1), w, _Family(params).P)[0])
 
 
-def _three_term(blk: RecursionBlocks, package) -> float:
-    """three_term_residual at blk.w, reading P_v from package(v).P."""
-    w = blk.w
-    Pw = package(w).P
-    Pup = package(w + 1).P
-    Pdn = package(w - 1).P if w else MatrixPoly.zeros(len(blk.A))
-    lhs = Pw - Pw.shift_mul_by_u()
-    rhs = Pdn.left_mul(blk.A) + Pw.left_mul(blk.B) + Pup.left_mul(blk.C)
-    diff = lhs - rhs
-    scale = max(1.0, lhs.max_abs, rhs.max_abs)
-    return diff.max_abs / scale
+def _three_term(rows: np.ndarray, w0: int, package) -> np.ndarray:
+    """three_term_residual at w = w0, w0 + 1, ... from rows = _block_rows(params, w0, ...) and
+    P_v = package(v).P, zero-padded to one degree (P_{-1} = 0): one einsum per block."""
+    n, dim = rows.shape[:2]
+    P = np.zeros((n + 2, w0 + n + 2, dim, dim))  # the power axis starts at a zero u^-1
+    for v in range(max(w0 - 1, 0), w0 + n + 1):
+        c = package(v).P.coeffs
+        P[v - w0 + 1, 1:len(c) + 1] = c
+    lhs = P[1:-1, 1:] - P[1:-1, :-1]
+    abc = rows.reshape(n, dim, 3, dim)  # (A P_{w-1} + B P_w) + C P_{w+1}, as the sum is written
+    rhs = sum(np.einsum("wab,wjbc->wjac", abc[:, :, i], P[i:i + n, 1:]) for i in range(3))
+    diff, top_l, top_r = (np.abs(x).max(axis=(1, 2, 3)) for x in (lhs - rhs, lhs, rhs))
+    return diff / np.maximum(1.0, np.maximum(top_l, top_r))
 
 
 def _cumulative(rows: np.ndarray) -> list:

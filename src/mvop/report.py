@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .family import _Family, f_wr, t_recursion_residual  # noqa: F401 (f_wr: for perfbench's tests)
-from .operators import _conjugation_residuals, apply_D_u, apply_E_u
+from .family import _Family, _t_residuals, f_wr  # noqa: F401 (f_wr: for perfbench's tests)
+from .operators import _conjugation_residuals, _u_form
 from .orthogonality import (_gram, max_block_offdiag_ratio, max_offdiag_ratio, weight_V_at,
                             weight_W_at)
 from .params import (ParamError, Params, in_S, lambda_eig, mu_eig, mu_of_lambda,
                      spectrum_injectivity_check)
-from .recurrence import _blocks_upto, _three_term, walk
-from .spectral import build_M, charpoly_residual, m_superdiagonal
+from .recurrence import _block_rows, _three_term, walk
+from .spectral import _charpoly_residuals, build_M, m_superdiagonal
 from .structure import psi_at
 
 __all__ = ["CheckResult", "RunReport", "run_suite", "run_grid", "default_grid"]
@@ -66,33 +66,39 @@ def _check(name, tol, fn) -> CheckResult:
     return CheckResult(name, status, resid, tol, time.perf_counter() - t0)
 
 
-def _eigen_checks(fam: _Family, wmax: int) -> list:
+def _label_stack(fam: _Family, wmax: int) -> tuple:
+    """(c, w, r, lam, mu) over the labels w <= wmax: c (wmax+1, labels, dim) holds each F,
+    zero past its degree w; the others are arrays over the labels."""
+    members = fam.members(wmax)
+    c = np.zeros((wmax + 1, len(members), fam.params.ell + 1))
+    for i, ef in enumerate(members):
+        c[: ef.w + 1, i] = ef.poly.coeffs
+    w, r, lam, mu = np.array([(ef.w, ef.r, ef.spectral.lam, ef.spectral.mu)
+                              for ef in members], dtype=float).reshape(-1, 4).T
+    return c, w.astype(int), r.astype(int), lam, mu
+
+
+def _eigen_checks(fam: _Family, stack, wmax: int) -> list:
     params = fam.params
 
     def operator_resid():
+        c, _, _, lam, mu = stack()
         worst = 0.0
-        for ef in fam.members(wmax):
-            for apply_op, val in ((apply_D_u, ef.spectral.lam), (apply_E_u, ef.spectral.mu)):
-                lhs = apply_op(fam.st, ef.poly)
-                rhs = ef.poly.scale(val)
-                scale = max(1.0, lhs.max_abs, rhs.max_abs)
-                worst = max(worst, (lhs - rhs).max_abs / scale)
+        for which, val in (("D", lam), ("E", mu)):
+            lhs, rhs = _u_form(fam.st, which, c), c * val[:, None]
+            diff, top_l, top_r = (np.abs(x).max(axis=(0, 2)) for x in (lhs - rhs, lhs, rhs))
+            worst = max(worst, (diff / np.maximum(1.0, np.maximum(top_l, top_r))).max(initial=0.0))
         return worst
 
     def degree_leading():
         # The family build already hard-checks termination and the leading-entry shape;
         # report the worst above-diagonal leakage in the leading coefficient.
-        worst = 0.0
-        for ef in fam.members(wmax):
-            w, r = ef.w, ef.r
-            lead = ef.poly.coeffs[w]
-            scale = max(ef.poly.max_abs, 1e-300)
-            if r + 1 <= params.ell:
-                worst = max(worst, float(np.abs(lead[r + 1:]).max()) / scale)
-        return worst
+        c, w, r, _, _ = stack()
+        lead = np.where(np.arange(c.shape[2]) > r[:, None], np.abs(c[w, np.arange(len(w))]), 0.0)
+        return (lead.max(axis=1) / np.maximum(np.abs(c).max(axis=(0, 2)), 1e-300)).max(initial=0.0)
 
     def charpoly():
-        return max(charpoly_residual(fam.st, ef.spectral.lam) for ef in fam.members(wmax))
+        return max(_charpoly_residuals(fam.st, stack()[3]))
 
     def superdiag_flat():
         if params.ell == 0:
@@ -163,34 +169,28 @@ def _ortho_checks(fam: _Family, wmax: int) -> list:
     ]
 
 
-def _recursion_checks(fam: _Family, wmax: int) -> list:
+def _recursion_checks(fam: _Family, stack, wmax: int) -> list:
     params = fam.params
-    blks = functools.cache(lambda: _blocks_upto(params, wmax))
+    table = functools.cache(lambda: _block_rows(params, 0, wmax + 1))
 
     def row_sums():
-        worst = 0.0
-        for blk in blks():
-            sums = (blk.A + blk.B + blk.C).sum(axis=1)
-            worst = max(worst, float(np.abs(sums - 1.0).max()))
-        return worst
+        abc = table().reshape(wmax + 1, params.ell + 1, 3, params.ell + 1)
+        return float(np.abs((abc[:, :, 0] + abc[:, :, 1] + abc[:, :, 2]).sum(axis=2) - 1.0).max())
 
     def nonneg():
-        low = min(float(min(blk.A.min(), blk.B.min(), blk.C.min())) for blk in blks())
-        return max(0.0, -low)
+        return max(0.0, -float(table().min()))
 
     def three_term():
-        rows = blks()
+        rows = table()
         fam.members(wmax + 1)  # P_0..P_{wmax+1} from one series
-        return max(_three_term(blk, fam.P) for blk in rows)
+        return _three_term(rows, 0, fam.P).max()
 
     def t_power():
-        return max(t_recursion_residual(params, ef.poly, ef.spectral.lam, fam.st)
-                   for ef in fam.members(wmax))
+        c, _, _, lam, _ = stack()
+        return max(_t_residuals(fam.st, c, lam))
 
     def walk_repro():
-        a = walk(params, 300, seed=123)
-        b = walk(params, 300, seed=123)
-        return 0.0 if a == b else 1.0
+        return 0.0 if walk(params, 300, seed=123) == walk(params, 300, seed=123) else 1.0
 
     return [
         _check("recursion/row_sums", 1e-12, row_sums),
@@ -212,13 +212,14 @@ def run_suite(params: Params, suite: str = "all", wmax: int = 4) -> RunReport:
     # One family per call, built lazily inside the checks: a label that raises
     # fails only the checks that read it.
     fam = _Family(params)
+    stack = functools.cache(lambda: _label_stack(fam, wmax))
     checks = []
     if suite in ("eigen", "all"):
-        checks += _eigen_checks(fam, wmax)
+        checks += _eigen_checks(fam, stack, wmax)
     if suite in ("ortho", "all"):
         checks += _ortho_checks(fam, wmax)
     if suite in ("recursion", "all"):
-        checks += _recursion_checks(fam, wmax)
+        checks += _recursion_checks(fam, stack, wmax)
     return RunReport(params=params.describe(), checks=checks)
 
 

@@ -95,11 +95,13 @@ def charpoly_residual(st: StructureSet, lam: float) -> float:
 
     Measured against max(1, largest |mu_r|).
     """
-    params = st.params
-    M = build_M(st, lam).matrix
-    eig = np.sort_complex(np.linalg.eigvals(M))
-    mus = np.sort_complex(np.array(
-        [mu_of_lambda(params, rr, lam) for rr in range(st.ell + 1)], dtype=complex))
-    scale = max(1.0, float(np.abs(mus).max()))
-    return float(np.abs(eig - mus).max()) / scale
+    return float(_charpoly_residuals(st, [lam])[0])
 
+
+def _charpoly_residuals(st: StructureSet, lams) -> np.ndarray:
+    """charpoly_residual at each lambda of lams, with one batched eigvals call."""
+    lams = np.asarray(lams, dtype=float)
+    M = np.array([build_M(st, lam).matrix for lam in lams]).reshape(len(lams), st.dim, st.dim)
+    eig = np.sort_complex(np.linalg.eigvals(M))
+    mus = np.sort_complex(np.array([mu_of_lambda(st.params, rr, lams) for rr in range(st.dim)]).T + 0j)
+    return np.abs(eig - mus).max(axis=-1) / np.maximum(1.0, np.abs(mus).max(axis=-1))

@@ -42,15 +42,6 @@ def test_derivative_finite_difference():
         assert np.allclose(dF.evaluate_at(u), fd, rtol=1e-6, atol=1e-6)
 
 
-def test_shift_mul_by_u():
-    F = VectorPoly(np.array([[1.0, -1.0], [2.0, 0.0]]))
-    uF = F.shift_mul_by_u()
-    assert uF.degree == 2
-    assert np.array_equal(uF.coeffs[0], [0.0, 0.0])
-    for u in (0.25, 0.8):
-        assert np.allclose(uF.evaluate_at(u), u * F.evaluate_at(u), rtol=0, atol=1e-15)
-
-
 def test_trim_drops_roundoff_tail():
     F = VectorPoly(np.array([[1.0], [1e-14], [1e-30]]))
     assert F.trim(1e-10).degree == 0
@@ -58,15 +49,6 @@ def test_trim_drops_roundoff_tail():
     Z = VectorPoly(np.zeros((4, 2))).trim()
     assert Z.degree == 0
     assert Z.max_abs == 0.0
-
-
-def test_left_mul_vector_and_matrix():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    F = VectorPoly(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(F.left_mul(a).coeffs, [[2.0, 1.0], [4.0, 3.0]])
-    M = MatrixPoly(np.array([[[1.0, 0.0], [0.0, 2.0]]]))
-    out = M.left_mul(a)
-    assert np.array_equal(out.coeffs[0], [[0.0, 2.0], [1.0, 0.0]])
 
 
 def test_matrix_poly_evaluate():
